@@ -21,7 +21,7 @@ from repro.characterization.montecarlo import mc_state_moments
 from repro.devices.mosfet import DeviceModel
 from repro.exceptions import CharacterizationError
 from repro.process.technology import Technology
-from repro.spice.leakage import state_leakage
+from repro.spice.solver import solve_dc_batch
 
 #: Supported characterization modes.
 ANALYTICAL = "analytical"
@@ -153,25 +153,29 @@ def characterize_library(
     names = library.names if cells is None else tuple(cells)
     rng = np.random.default_rng(1234) if rng is None else rng
 
+    if mode not in (ANALYTICAL, MONTECARLO):
+        raise CharacterizationError(f"unknown mode {mode!r}")
+    if mode == ANALYTICAL:
+        # Every state shares the deterministic lengths: one batched solve.
+        lengths = sample_lengths(mu_l, sigma_l, fit_points)
+        solutions = iter(solve_dc_batch(
+            [(library[name].netlist, state.nodes)
+             for name in names for state in library[name].states],
+            model, lengths, include_gate_leakage=include_gate_leakage))
+
     table: Dict[str, CellCharacterization] = {}
     for name in names:
         cell = library[name]
         state_chars = []
         for state in cell.states:
             if mode == ANALYTICAL:
-                lengths = sample_lengths(mu_l, sigma_l, fit_points)
-                leakages = state_leakage(
-                    cell.netlist, state.nodes, model, lengths,
-                    include_gate_leakage=include_gate_leakage)
-                fit = fit_leakage(lengths, leakages)
+                fit = fit_leakage(lengths, next(solutions).leakage)
                 mean, std = mgf_moments(fit.a, fit.b, fit.c, mu_l, sigma_l)
-            elif mode == MONTECARLO:
+            else:
                 fit = None
                 mean, std = mc_state_moments(
                     cell, state, model, n_samples=n_samples, rng=rng,
                     include_gate_leakage=include_gate_leakage)
-            else:
-                raise CharacterizationError(f"unknown mode {mode!r}")
             state_chars.append(StateCharacterization(
                 cell_name=name, state_label=state.label,
                 mean=mean, std=std, fit=fit))

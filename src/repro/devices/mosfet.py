@@ -81,14 +81,17 @@ class DeviceModel:
             np.exp(-np.asarray(length, dtype=float) / tech.vt_rolloff_length)
             - np.exp(-l_nom / tech.vt_rolloff_length))
 
-    def nmos_branch(self, vg, vs, vd, length, width,
-                    vt_shift=0.0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def nmos_branch(self, vg, vs, vd, length, width, vt_shift=0.0,
+                    rolloff=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """NMOS channel current flowing from the drain node to the source
         node, with derivatives w.r.t. the two channel-terminal voltages.
 
         Node voltages are absolute (body at 0 V). Positive for
         ``vd > vs``; the symmetric form remains correct when the labeled
         terminals are reverse-biased. Returns ``(i, di_dvs, di_dvd)``.
+        ``rolloff`` optionally supplies a precomputed
+        :meth:`rolloff` of ``length``, so batched callers evaluate it
+        once for every device that shares the lengths.
         """
         tech = self.technology
         n_vt = self._n_vt
@@ -96,9 +99,11 @@ class DeviceModel:
         vg = np.asarray(vg, dtype=float)
         vs = np.asarray(vs, dtype=float)
         vd = np.asarray(vd, dtype=float)
+        if rolloff is None:
+            rolloff = self.rolloff(length)
 
         base = (vg - tech.vt.nominal_n - np.asarray(vt_shift, dtype=float)
-                + self.rolloff(length)) / n_vt
+                + rolloff) / n_vt
         # E(x, y): injection over the barrier at terminal x, with DIBL
         # set by the far terminal y.
         fwd = _clamped_exp(base + (-(1.0 + gamma) * vs + eta * (vd - vs)) / n_vt)
@@ -110,13 +115,14 @@ class DeviceModel:
         di_dvd = scale * (fwd * eta + rev * (1.0 + gamma + eta)) / n_vt
         return current, di_dvs, di_dvd
 
-    def pmos_branch(self, vg, vs, vd, length, width,
-                    vt_shift=0.0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def pmos_branch(self, vg, vs, vd, length, width, vt_shift=0.0,
+                    rolloff=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """PMOS channel current flowing from the source node to the drain
         node, with derivatives w.r.t. the two channel-terminal voltages.
 
         Node voltages are absolute (body at VDD). Positive for
-        ``vs > vd``. Returns ``(i, di_dvs, di_dvd)``.
+        ``vs > vd``. Returns ``(i, di_dvs, di_dvd)``; ``rolloff`` as in
+        :meth:`nmos_branch`.
         """
         tech = self.technology
         n_vt = self._n_vt
@@ -124,9 +130,11 @@ class DeviceModel:
         vg = np.asarray(vg, dtype=float)
         vs = np.asarray(vs, dtype=float)
         vd = np.asarray(vd, dtype=float)
+        if rolloff is None:
+            rolloff = self.rolloff(length)
 
         base = (-vg - tech.vt.nominal_p - np.asarray(vt_shift, dtype=float)
-                + self.rolloff(length) - gamma * tech.vdd) / n_vt
+                + rolloff - gamma * tech.vdd) / n_vt
         fwd = _clamped_exp(base + ((1.0 + gamma) * vs + eta * (vs - vd)) / n_vt)
         rev = _clamped_exp(base + ((1.0 + gamma) * vd + eta * (vd - vs)) / n_vt)
         scale = tech.i0_per_width * np.asarray(width, dtype=float)

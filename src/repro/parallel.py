@@ -207,8 +207,10 @@ class ThreadWorkerPool:
             threads = list(self._threads)
         pid = os.getpid()
         return [{"worker": thread.name, "pid": pid,
-                 "alive": thread.is_alive(), "restarts": None,
-                 "heartbeat_age_s": None} for thread in threads]
+                 "alive": thread.is_alive(),
+                 "state": "up" if thread.is_alive() else "down",
+                 "restarts": None, "heartbeat_age_s": None}
+                for thread in threads]
 
     def stop(self, join: bool = True, timeout: Optional[float] = 5.0) -> None:
         """Signal every worker to finish and (optionally) join them."""
@@ -567,7 +569,7 @@ class _WorkerSlot:
     """Parent-side state for one supervised worker process."""
 
     __slots__ = ("index", "process", "conn", "heartbeat", "generation",
-                 "consecutive_crashes", "pid")
+                 "consecutive_crashes", "pid", "ready", "retired")
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -577,6 +579,10 @@ class _WorkerSlot:
         self.generation = 0
         self.consecutive_crashes = 0
         self.pid: Optional[int] = None
+        #: The current process answered the ready handshake.
+        self.ready = False
+        #: The shepherd exited; the slot will never run a worker again.
+        self.retired = False
 
 
 class ProcessWorkerPool:
@@ -711,6 +717,7 @@ class ProcessWorkerPool:
                     continue  # cancelled while queued
                 self._run_task(slot, task)
         finally:
+            slot.retired = True
             self._shutdown_slot(slot)
             self._retire_shepherd()
 
@@ -846,6 +853,7 @@ class ProcessWorkerPool:
                 f"{self._name}-{slot.index} gen{slot.generation}: {reason}")
 
     def _kill_worker(self, slot: _WorkerSlot) -> None:
+        slot.ready = False
         process = slot.process
         if process is None:
             return
@@ -901,6 +909,7 @@ class ProcessWorkerPool:
                 if parent_conn.poll(self._heartbeat_interval):
                     message = parent_conn.recv()
                     if message[0] == _MSG_READY:
+                        slot.ready = True
                         return True
                     self._kill_worker(slot)
                     self._note_death(
@@ -925,6 +934,7 @@ class ProcessWorkerPool:
                 return False
 
     def _shutdown_slot(self, slot: _WorkerSlot) -> None:
+        slot.ready = False
         if slot.conn is not None:
             _send_safely(slot.conn, (_MSG_STOP,))
         process = slot.process
@@ -976,18 +986,32 @@ class ProcessWorkerPool:
         """Per-worker liveness snapshot for health checks and metrics.
 
         Returns one entry per slot: worker name, pid, whether the
-        process is currently alive, how many times the slot restarted,
-        and the age of its last heartbeat in seconds.
+        process is currently alive, its ``state``, how many times the
+        slot restarted, and the age of its last heartbeat in seconds.
+        ``state`` is ``"up"`` once the live process answered the ready
+        handshake, ``"starting"`` while a (re)spawn is pending or the
+        process is still building its state (its ``pid`` may be
+        ``None``), and ``"down"`` for a dead worker or a stopped or
+        retired slot. Shepherds spawn workers asynchronously, so right
+        after construction every slot is ``"starting"``.
         """
         now = time.time()
         entries = []
         for slot in self._slots:
             process = slot.process
             beat = slot.heartbeat.value if slot.heartbeat is not None else 0.0
+            alive = bool(process is not None and process.is_alive())
+            if alive:
+                state = "up" if slot.ready else "starting"
+            elif process is None and not (slot.retired or self._stop.is_set()):
+                state = "starting"
+            else:
+                state = "down"
             entries.append({
                 "worker": f"{self._name}-{slot.index}",
                 "pid": slot.pid,
-                "alive": bool(process is not None and process.is_alive()),
+                "alive": alive,
+                "state": state,
                 "restarts": max(0, slot.generation - 1),
                 "heartbeat_age_s": (
                     round(now - beat, 6) if beat else None),

@@ -30,7 +30,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.api import LeakageEstimate
@@ -316,8 +316,12 @@ class ServiceClient:
         if (isinstance(request, EstimateRequest)
                 and not result.details.get("degraded")):
             # Memory tier only: the worker already wrote the disk entry
-            # under the shard lock.
-            self.cache.put(TIER_ESTIMATE, key, result)
+            # under the shard lock. Cache entries never carry traces
+            # (a hit would replay this request's spans).
+            details = {name: value for name, value in result.details.items()
+                       if name != "trace"}
+            self.cache.put(TIER_ESTIMATE, key,
+                           replace(result, details=details))
         return result
 
     # -- the four verbs ---------------------------------------------------

@@ -575,6 +575,10 @@ class FrontServer(ThreadingHTTPServer):
 class _FrontHandler(BaseHTTPRequestHandler):
     server_version = f"repro-front/{__version__}"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; without TCP_NODELAY
+    # Nagle holds the body for the client's delayed ACK (~40 ms) on
+    # every kept-alive request after the first.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass

@@ -165,6 +165,10 @@ class LeakageHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = f"repro-serve/{__version__}"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; without TCP_NODELAY
+    # Nagle holds the body for the client's delayed ACK (~40 ms) on
+    # every kept-alive request after the first.
+    disable_nagle_algorithm = True
 
     # -- plumbing ---------------------------------------------------------
 

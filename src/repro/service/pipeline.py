@@ -527,10 +527,27 @@ class EstimationPipeline:
 
         Process-mode serving ships this document to worker processes so
         a worker forked after the base was recorded can still rebuild
-        the base snapshot locally.
+        the base snapshot locally. Like :meth:`_base_for`, this is a
+        what-if use and refreshes the base's LRU position.
         """
         with self._base_lock:
-            return self._base_requests.get(key)
+            return self._use_base(key)[0]
+
+    def _use_base(self, key: str):
+        """``(request, snapshot)`` recorded for ``key`` (None where
+        absent), each marked most recently used. Caller holds
+        ``_base_lock``.
+
+        A base under a steady what-if stream must not age out behind
+        the fresh estimates served between its what-ifs.
+        """
+        request = self._base_requests.get(key)
+        if request is not None:
+            self._base_requests.move_to_end(key)
+        base = self._bases.get(key)
+        if base is not None:
+            self._bases.move_to_end(key)
+        return request, base
 
     def base_store_stats(self) -> Dict[str, int]:
         """Counts for health introspection: recorded request documents
@@ -550,8 +567,7 @@ class EstimationPipeline:
         from repro.delta import BaseEstimate
 
         with self._base_lock:
-            request = self._base_requests.get(key)
-            base = self._bases.get(key)
+            request, base = self._use_base(key)
         if request is None:
             raise UnknownBaseError(
                 f"unknown base {key!r}; run the full estimate first — "

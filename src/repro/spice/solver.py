@@ -1,24 +1,49 @@
-"""Vectorized Newton DC solver for cell leakage states.
+"""Batched Newton DC solver for cell leakage states.
 
-Given a :class:`~repro.spice.netlist.CellNetlist`, a pinned logic state,
-and per-sample device parameters (shared channel length per cell, one
-RDF Vt shift per transistor), the solver finds the stack-internal node
-voltages satisfying KCL and reports the supply-to-ground leakage.
+Given a batch of ``(CellNetlist, pinned logic state)`` systems, one
+channel-length sample axis shared by every system, and optional
+per-transistor RDF Vt shifts, the solver finds the stack-internal node
+voltages satisfying KCL and reports each system's supply-to-ground
+leakage. :func:`solve_dc` is the one-system case of
+:func:`solve_dc_batch`.
 
-All arithmetic is vectorized over the sample axis; the per-sample
-Jacobian is a tiny dense ``(F, F)`` matrix (cells have at most a handful
-of stack-internal nodes), solved with a batched ``numpy.linalg.solve``.
-A SPICE-style ``gmin`` to ground keeps the Jacobian non-singular.
+The whole batch is one array problem:
+
+* **Stacked table.** Every transistor of every system is one row of a
+  table (system, polarity, width, gate/source/drain rows). The rows
+  index one ``(rows, S)`` node-voltage matrix: GND, VDD, then each
+  system's free nodes. Pinned logic nodes map to the rail rows.
+* **One device call per polarity per iteration**, on ``(T, S)`` arrays,
+  with the Vt roll-off of the shared lengths computed once.
+* **KCL assembly** scatters residuals, Jacobian entries and supply
+  outflow with ``np.add.at`` in transistor order, so every system sums
+  its terms in the same order as a solve of that system alone.
+* **Solve per free-node count.** Systems are grouped by their number of
+  free nodes F and each group takes one batched ``numpy.linalg.solve``
+  of its ``(F, F)`` Jacobians. A SPICE-style ``gmin`` to ground keeps
+  them non-singular.
+* **Convergence per system.** A system converges when its largest
+  Newton step is below ``_VTOL``; it is then frozen and dropped from
+  the active table. Systems that have not converged restart from the
+  next initial guess (0.5, 0.05, 0.95 of VDD); a singular Jacobian
+  fails only its own system for the current guess. A system that fails
+  every guess raises :class:`~repro.exceptions.SolverError` naming its
+  cell and state, and no partial batch is returned.
+
+Each system follows the same Newton trajectory as it would alone, so
+iteration counts match a per-system solve and results agree with it to
+the last ulp or so (summation of a cell's outflow across several
+VDD-pinned nodes may associate differently).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.devices.mosfet import NMOS, DeviceModel
+from repro.devices.mosfet import NMOS, PMOS, DeviceModel
 from repro.exceptions import SolverError
 from repro.spice.netlist import CellNetlist, GND
 
@@ -30,6 +55,12 @@ _MAX_STEP = 0.25
 
 _MAX_ITER = 120
 _VTOL = 1e-10
+
+#: Initial guesses for the free nodes, as fractions of VDD, tried in order.
+_GUESSES = (0.5, 0.05, 0.95)
+
+#: Rows of the rail potentials in the node-voltage matrix.
+_GND_ROW, _VDD_ROW, _FIRST_FREE_ROW = 0, 1, 2
 
 
 @dataclass
@@ -55,16 +86,365 @@ class DCSolution:
     max_residual: float
 
 
-def _device_arrays(netlist: CellNetlist, length: np.ndarray,
-                   vt_shifts: Optional[Mapping[str, np.ndarray]]):
-    """Broadcast per-device parameter arrays to the sample axis."""
-    shifts = []
-    for t in netlist.transistors:
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums: where each system's block begins."""
+    return np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.intp)
+
+
+class _Table:
+    """Stacked transistor table and scatter plan of a batch of systems.
+
+    Transistors are stored NMOS first, then PMOS, so each polarity is
+    one contiguous slice; the scatter lists keep each system's
+    transistor order. Every scatter list is a tuple of
+    ``(system, target, position, sign)`` arrays: ``target`` is the row
+    the term adds into, ``position`` the table row (offset by the table
+    size for the second of a pair of device outputs) and ``sign`` the
+    +-1 factor applied to it.
+    """
+
+    def __init__(self, systems, model: DeviceModel, n_samples: int,
+                 vt_shifts) -> None:
+        vdd = model.technology.vdd
+        min_width = model.technology.min_width
+        free_nodes = [netlist.free_nodes for netlist, _ in systems]
+        self.n_free = np.array([len(nodes) for nodes in free_nodes],
+                               dtype=np.intp)
+        self.free_start = _starts(self.n_free)
+        self.entry_start = _starts(self.n_free ** 2)
+        self.n_rows = int(self.n_free.sum())
+        self.n_entries = int((self.n_free ** 2).sum())
+
+        columns = {name: [] for name in (
+            "sys", "nmos", "width", "gate", "src", "drn")}
+        shifts = []
+        residual, jacobian, outflow, gate_flow = [], [], [], []
+        high_sys = []
+        for k, (netlist, state) in enumerate(systems):
+            pinned = netlist.node_voltages(state, vdd)
+            start = int(self.free_start[k])
+            free = {node: start + i for i, node in enumerate(free_nodes[k])}
+            # One outflow accumulator per VDD-pinned node, in name order.
+            high = sorted(node for node, volt in pinned.items()
+                          if volt == vdd and node != GND)
+            high_slot = {node: len(high_sys) + i
+                         for i, node in enumerate(high)}
+            high_sys.extend([k] * len(high))
+            entry = int(self.entry_start[k])
+            size = len(free)
+
+            def row(node):
+                if node in free:
+                    return _FIRST_FREE_ROW + free[node]
+                return _VDD_ROW if pinned[node] == vdd else _GND_ROW
+
+            system_shifts = None if vt_shifts is None else vt_shifts[k]
+            for t in netlist.transistors:
+                index = len(columns["sys"])
+                nmos = t.kind == NMOS
+                columns["sys"].append(k)
+                columns["nmos"].append(nmos)
+                columns["width"].append(t.width_mult * min_width)
+                columns["gate"].append(row(t.gate))
+                columns["src"].append(row(t.source))
+                columns["drn"].append(row(t.drain))
+                shifts.append(0.0 if system_shifts is None else
+                              system_shifts.get(t.name, 0.0))
+                # Terms are (system, target, transistor, output, sign);
+                # output 0 is the current or di/dvs, 1 is di/dvd.
+                # Current into the source node is +i for NMOS, -i for
+                # PMOS; d(into_src)/dv carries the same sign.
+                sign = 1.0 if nmos else -1.0
+                for node, other, into, d_self, d_other in (
+                        (t.source, t.drain, sign, 0, 1),
+                        (t.drain, t.source, -sign, 1, 0)):
+                    if node in free:
+                        i = free[node] - start
+                        residual.append((k, free[node], index, 0, into))
+                        jacobian.append((k, entry + i * size + i,
+                                         index, d_self, into))
+                        if other in free:
+                            j = free[other] - start
+                            jacobian.append((k, entry + i * size + j,
+                                             index, d_other, into))
+                    elif node in high_slot:
+                        outflow.append((k, high_slot[node], index, 0, -into))
+                # Gate tunneling flows gate -> terminal for NMOS and
+                # terminal -> gate for PMOS; output 0 is i_gs, 1 is i_gd.
+                for terminal, which in ((t.source, 0), (t.drain, 1)):
+                    origin, target = ((t.gate, terminal) if nmos
+                                      else (terminal, t.gate))
+                    if origin in high_slot:
+                        gate_flow.append((k, k, index, which, 1.0))
+                    if target in high_slot:
+                        gate_flow.append((k, k, index, which, -1.0))
+
+        self.high_sys = np.array(high_sys, dtype=np.intp)
+        nmos = np.array(columns["nmos"], dtype=bool)
+        # Stable NMOS-first permutation of the table rows.
+        order = np.argsort(~nmos, kind="stable")
+        self.position = np.empty_like(order)
+        self.position[order] = np.arange(order.size)
+        self.n_transistors = int(order.size)
+        self.n_nmos = int(nmos.sum())
+        self.sys = np.array(columns["sys"], dtype=np.intp)[order]
+        self.width = np.array(columns["width"])[order][:, None]
+        # Node-voltage rows of each device's gate, source and drain.
+        self.terminals = np.array(
+            [columns["gate"], columns["src"], columns["drn"]],
+            dtype=np.intp)[:, order]
         if vt_shifts is None:
-            shifts.append(0.0)
+            self.shift = None
         else:
-            shifts.append(np.asarray(vt_shifts.get(t.name, 0.0), dtype=float))
-    return shifts
+            matrix = np.empty((order.size, n_samples))
+            for index, value in enumerate(shifts):
+                matrix[index] = value
+            self.shift = matrix[order]
+        self.residual = self._plan(residual)
+        self.jacobian = self._plan(jacobian)
+        self.outflow = self._plan(outflow)
+        self.gate_flow = self._plan(gate_flow)
+
+    def _plan(self, terms) -> Tuple[np.ndarray, ...]:
+        """``(system, target, transistor, output, sign)`` terms ->
+        ``(system, target, position, sign)`` arrays."""
+        terms = np.array(terms, dtype=float).reshape(-1, 5)
+        systems, targets, transistors, outputs = \
+            terms[:, :4].astype(np.intp).T
+        positions = self.position[transistors] + self.n_transistors * outputs
+        return systems, targets, positions, terms[:, 4]
+
+
+class _Active:
+    """The rows of a :class:`_Table` that belong to a subset of systems.
+
+    Positions in the scatter lists are remapped to the compacted table;
+    targets keep their batch-wide numbering, flattened with the sample
+    axis so each scatter is one 1-D ``np.add.at``. ``groups`` lists the
+    systems of each free-node count F with the rows and Jacobian
+    entries of their ``(F, F)`` blocks.
+    """
+
+    def __init__(self, table: _Table, active: np.ndarray,
+                 n_samples: int) -> None:
+        keep = np.flatnonzero(active[table.sys])
+        self.n = int(keep.size)
+        self.n_nmos = int(np.count_nonzero(keep < table.n_nmos))
+        self.width = table.width[keep]
+        self.terminals = table.terminals[:, keep]
+        self.shift = 0.0 if table.shift is None else table.shift[keep]
+        remap = np.full(2 * table.n_transistors, -1, dtype=np.intp)
+        remap[keep] = np.arange(self.n)
+        remap[keep + table.n_transistors] = np.arange(self.n) + self.n
+        samples = np.arange(n_samples)
+
+        def select(plan):
+            systems, targets, positions, signs = plan
+            mask = active[systems]
+            flat = (targets[mask][:, None] * n_samples + samples).ravel()
+            return flat, remap[positions[mask]], signs[mask][:, None]
+
+        self.residual = select(table.residual)
+        self.jacobian = select(table.jacobian)
+        self.outflow = select(table.outflow)
+        self.gate_flow = select(table.gate_flow)
+
+        self.systems = np.flatnonzero(active)
+        self.groups = []
+        sizes = table.n_free[self.systems]
+        for size in np.unique(sizes[sizes > 0]):
+            members = self.systems[sizes == size]
+            rows = table.free_start[members][:, None] + np.arange(size)
+            entries = (table.entry_start[members][:, None, None]
+                       + np.arange(size)[:, None] * size + np.arange(size))
+            self.groups.append((int(size), members, rows, entries))
+
+    def branches(self, model: DeviceModel, voltages: np.ndarray, length,
+                 rolloff) -> Tuple[np.ndarray, np.ndarray]:
+        """Channel currents ``(T, S)`` and stacked ``[di/dvs; di/dvd]``."""
+        vg, vs, vd = voltages[self.terminals]
+        shift = self.shift
+        split = self.n_nmos
+        parts = []
+        for lo, hi, branch in ((0, split, model.nmos_branch),
+                               (split, self.n, model.pmos_branch)):
+            parts.append(branch(
+                vg[lo:hi], vs[lo:hi], vd[lo:hi], length, self.width[lo:hi],
+                shift if np.ndim(shift) == 0 else shift[lo:hi],
+                rolloff=rolloff))
+        (i_n, dvs_n, dvd_n), (i_p, dvs_p, dvd_p) = parts
+        return (np.concatenate([i_n, i_p]),
+                np.concatenate([dvs_n, dvs_p, dvd_n, dvd_p]))
+
+    def gate_currents(self, model: DeviceModel, voltages: np.ndarray,
+                      length) -> np.ndarray:
+        """Stacked ``[i_gate_source; i_gate_drain]`` per device."""
+        vg, vs, vd = voltages[self.terminals]
+        split = self.n_nmos
+        (gs_n, gd_n), (gs_p, gd_p) = (
+            model.gate_current_split(kind, vg[lo:hi], vs[lo:hi], vd[lo:hi],
+                                     length, self.width[lo:hi])
+            for kind, lo, hi in ((NMOS, 0, split), (PMOS, split, self.n)))
+        return np.concatenate([gs_n, gs_p, gd_n, gd_p])
+
+
+def _scatter(n_targets: int, plan, values: np.ndarray) -> np.ndarray:
+    """Sum ``sign * values[position]`` into ``n_targets`` rows, in order."""
+    flat, positions, signs = plan
+    out = np.zeros(n_targets * values.shape[1])
+    np.add.at(out, flat, (values[positions] * signs).ravel())
+    return out.reshape(n_targets, values.shape[1])
+
+
+def _newton_update(size: int, rows: np.ndarray, entries: np.ndarray,
+                   residual, jacobian, voltages, vdd: float):
+    """One Newton step for ``G`` systems with ``size`` free nodes each.
+
+    ``rows`` ``(G, F)`` and ``entries`` ``(G, F, F)`` locate their free
+    nodes and Jacobian blocks. Writes the updated voltages of systems
+    whose Jacobian factored (a singular one fails only its own system)
+    and returns ``(solved, settled)`` masks; ``settled`` systems took a
+    step below ``_VTOL``.
+    """
+    x = voltages[_FIRST_FREE_ROW + rows].transpose(0, 2, 1)
+    r = residual[rows].transpose(0, 2, 1) + _GMIN * x
+    jac = jacobian[entries].transpose(0, 3, 1, 2) + _GMIN * np.eye(size)
+    solved = np.ones(len(rows), dtype=bool)
+    try:
+        delta = np.linalg.solve(jac, -r[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        delta = np.zeros_like(r)
+        for g in range(len(rows)):
+            try:
+                delta[g] = np.linalg.solve(jac[g], -r[g][..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                solved[g] = False
+    delta = np.clip(delta, -_MAX_STEP, _MAX_STEP)
+    x = np.clip(x + delta, -0.2, vdd + 0.2)
+    if solved.all():
+        voltages[_FIRST_FREE_ROW + rows] = x.transpose(0, 2, 1)
+    else:
+        voltages[_FIRST_FREE_ROW + rows[solved]] = \
+            x[solved].transpose(0, 2, 1)
+    settled = solved & (np.max(np.abs(delta), axis=(1, 2)) < _VTOL)
+    return solved, settled
+
+
+def solve_dc_batch(
+    systems: Sequence[Tuple[CellNetlist, Mapping[str, int]]],
+    model: DeviceModel,
+    length,
+    vt_shifts: Optional[Sequence[Optional[Mapping[str, np.ndarray]]]] = None,
+    include_gate_leakage: bool = False,
+) -> List[DCSolution]:
+    """Solve many cell states at once; one :class:`DCSolution` each.
+
+    Parameters
+    ----------
+    systems:
+        ``(netlist, state)`` pairs; ``state`` gives logic values (0/1)
+        for every input and logic node of its netlist.
+    model:
+        Device model (technology-bound).
+    length:
+        Channel length per sample [m], scalar or shape ``(S,)``, shared
+        by every system. All devices in a cell share the length (the
+        within-cell lengths are fully correlated; Section 2.1.1 of the
+        paper).
+    vt_shifts:
+        Optional per-system mappings of transistor name to an RDF
+        threshold shift [V], scalar or ``(S,)``; missing names (and
+        ``None`` entries) get zero.
+    include_gate_leakage:
+        Also account for gate-oxide tunneling (an extension beyond the
+        paper's subthreshold-only model). Gate currents are evaluated at
+        the subthreshold operating point without re-solving KCL — they
+        are injected at rail-pinned gate nodes and are small compared to
+        the channel currents of the devices that set the free-node
+        voltages, so the feedback on those voltages is second order.
+
+    Raises
+    ------
+    SolverError
+        If Newton iteration fails to converge from every initial guess
+        for any system; the message names the first such cell and state.
+    """
+    tech = model.technology
+    length = np.atleast_1d(np.asarray(length, dtype=float))
+    n_samples = length.shape[0]
+    if not systems:
+        return []
+    if vt_shifts is not None:
+        vt_shifts = [shifts or {} for shifts in vt_shifts]
+    table = _Table(systems, model, n_samples, vt_shifts)
+    rolloff = model.rolloff(length)
+    n_systems = len(systems)
+    voltages = np.zeros((_FIRST_FREE_ROW + table.n_rows, n_samples))
+    voltages[_VDD_ROW] = tech.vdd
+
+    def kcl(active: _Active):
+        current, derivs = active.branches(model, voltages, length, rolloff)
+        return (_scatter(table.n_rows, active.residual, current),
+                _scatter(table.n_entries, active.jacobian, derivs), current)
+
+    done = table.n_free == 0
+    iterations = np.zeros(n_systems, dtype=int)
+    free_rows = _FIRST_FREE_ROW + np.arange(table.n_rows)
+    row_system = np.repeat(np.arange(n_systems), table.n_free)
+    for guess_level in _GUESSES:
+        active = ~done
+        if not active.any():
+            break
+        voltages[free_rows[active[row_system]]] = guess_level * tech.vdd
+        view = _Active(table, active, n_samples)
+        for iteration in range(1, _MAX_ITER + 1):
+            residual, jacobian, _ = kcl(view)
+            for size, members, rows, entries in view.groups:
+                live = active[members]
+                if not live.all():
+                    members, rows, entries = (
+                        members[live], rows[live], entries[live])
+                if not members.size:
+                    continue
+                solved, settled = _newton_update(
+                    size, rows, entries, residual, jacobian, voltages,
+                    tech.vdd)
+                done[members[settled]] = True
+                iterations[members[settled]] = iteration
+                active[members[settled | ~solved]] = False
+            if not active.any():
+                break
+            # Converged and failed systems leave the table.
+            if np.count_nonzero(active[view.systems]) < view.systems.size:
+                view = _Active(table, active, n_samples)
+
+    if not done.all():
+        netlist, state = systems[int(np.flatnonzero(~done)[0])]
+        raise SolverError(
+            f"{netlist.name}: DC solve failed to converge for state "
+            f"{dict(state)!r}")
+
+    everything = _Active(table, np.ones(n_systems, dtype=bool), n_samples)
+    residual, _, current = kcl(everything)
+    outflow = _scatter(len(table.high_sys), everything.outflow, current)
+    supply = np.zeros((n_systems, n_samples))
+    np.add.at(supply, table.high_sys, outflow)
+    if include_gate_leakage:
+        gate = everything.gate_currents(model, voltages, length)
+        supply = supply + _scatter(n_systems, everything.gate_flow, gate)
+
+    solutions = []
+    for k in range(n_systems):
+        start = int(table.free_start[k])
+        block = slice(start, start + int(table.n_free[k]))
+        solutions.append(DCSolution(
+            leakage=supply[k],
+            free_voltages=np.ascontiguousarray(
+                voltages[_FIRST_FREE_ROW:][block].T),
+            iterations=int(iterations[k]),
+            max_residual=(float(np.max(np.abs(residual[block])))
+                          if table.n_free[k] else 0.0)))
+    return solutions
 
 
 def solve_dc(
@@ -77,157 +457,10 @@ def solve_dc(
 ) -> DCSolution:
     """Solve one cell state and return leakage per sample.
 
-    Parameters
-    ----------
-    netlist:
-        The cell.
-    state:
-        Logic values (0/1) for every input and logic node.
-    model:
-        Device model (technology-bound).
-    length:
-        Channel length per sample [m], scalar or shape ``(S,)``. All
-        devices in a cell share the length (the within-cell lengths are
-        fully correlated; Section 2.1.1 of the paper).
-    vt_shifts:
-        Optional per-transistor RDF threshold shifts, mapping transistor
-        name to a scalar or ``(S,)`` array [V]. Missing names get zero.
-    include_gate_leakage:
-        Also account for gate-oxide tunneling (an extension beyond the
-        paper's subthreshold-only model). Gate currents are evaluated at
-        the subthreshold operating point without re-solving KCL — they
-        are injected at rail-pinned gate nodes and are small compared to
-        the channel currents of the devices that set the free-node
-        voltages, so the feedback on those voltages is second order.
-
-    Returns
-    -------
-    DCSolution
-
-    Raises
-    ------
-    SolverError
-        If Newton iteration fails to converge from every initial guess.
+    The one-system case of :func:`solve_dc_batch`: ``vt_shifts`` maps
+    transistor names of ``netlist`` to shifts; other parameters and the
+    errors raised are as documented there.
     """
-    tech = model.technology
-    length = np.atleast_1d(np.asarray(length, dtype=float))
-    n_samples = length.shape[0]
-    shifts = _device_arrays(netlist, length, vt_shifts)
-
-    pinned = netlist.node_voltages(state, tech.vdd)
-    free_nodes = netlist.free_nodes
-    index = {node: i for i, node in enumerate(free_nodes)}
-    n_free = len(free_nodes)
-
-    high_nodes = {node for node, volt in pinned.items()
-                  if volt == tech.vdd and node != GND}
-
-    def node_voltage(node: str, x: np.ndarray) -> np.ndarray:
-        if node in pinned:
-            return np.full(n_samples, pinned[node])
-        return x[:, index[node]]
-
-    def evaluate(x: np.ndarray):
-        """KCL residuals, Jacobian, and supply outflow at point ``x``."""
-        residual = np.zeros((n_samples, n_free))
-        jacobian = np.zeros((n_samples, n_free, n_free))
-        outflow: Dict[str, np.ndarray] = {
-            node: np.zeros(n_samples) for node in high_nodes}
-
-        for t, shift in zip(netlist.transistors, shifts):
-            v_gate = node_voltage(t.gate, x)
-            v_src = node_voltage(t.source, x)
-            v_drn = node_voltage(t.drain, x)
-            width = t.width_mult * tech.min_width
-            if t.kind == NMOS:
-                current, di_dvs, di_dvd = model.nmos_branch(
-                    v_gate, v_src, v_drn, length, width, shift)
-                into_src, into_drn = current, -current
-                src_sign, drn_sign = 1.0, -1.0
-            else:
-                current, di_dvs, di_dvd = model.pmos_branch(
-                    v_gate, v_src, v_drn, length, width, shift)
-                into_src, into_drn = -current, current
-                src_sign, drn_sign = -1.0, 1.0
-
-            if t.source in index:
-                i = index[t.source]
-                residual[:, i] += into_src
-                jacobian[:, i, i] += src_sign * di_dvs
-                if t.drain in index:
-                    jacobian[:, i, index[t.drain]] += src_sign * di_dvd
-            elif t.source in outflow:
-                outflow[t.source] -= into_src
-            if t.drain in index:
-                i = index[t.drain]
-                residual[:, i] += into_drn
-                jacobian[:, i, i] += drn_sign * di_dvd
-                if t.source in index:
-                    jacobian[:, i, index[t.source]] += drn_sign * di_dvs
-            elif t.drain in outflow:
-                outflow[t.drain] -= into_drn
-
-        supply = np.zeros(n_samples)
-        for node in high_nodes:
-            supply += outflow[node]
-        return residual, jacobian, supply
-
-    def gate_supply(x: np.ndarray) -> np.ndarray:
-        """Supply-to-ground gate-tunneling current at operating point x."""
-        total = np.zeros(n_samples)
-        for t in netlist.transistors:
-            v_gate = node_voltage(t.gate, x)
-            v_src = node_voltage(t.source, x)
-            v_drn = node_voltage(t.drain, x)
-            width = t.width_mult * tech.min_width
-            i_gs, i_gd = model.gate_current_split(
-                t.kind, v_gate, v_src, v_drn, length, width)
-            if t.kind == NMOS:
-                flows = ((t.gate, t.source, i_gs), (t.gate, t.drain, i_gd))
-            else:
-                flows = ((t.source, t.gate, i_gs), (t.drain, t.gate, i_gd))
-            for origin, target, current in flows:
-                if origin in high_nodes:
-                    total += current
-                if target in high_nodes:
-                    total -= current
-        return total
-
-    if n_free == 0:
-        _, __, supply = evaluate(np.zeros((n_samples, 0)))
-        if include_gate_leakage:
-            supply = supply + gate_supply(np.zeros((n_samples, 0)))
-        return DCSolution(leakage=supply,
-                          free_voltages=np.zeros((n_samples, 0)),
-                          iterations=0, max_residual=0.0)
-
-    for guess_level in (0.5, 0.05, 0.95):
-        x = np.full((n_samples, n_free), guess_level * tech.vdd)
-        converged = False
-        iterations = 0
-        for iterations in range(1, _MAX_ITER + 1):
-            residual, jacobian, _ = evaluate(x)
-            residual += _GMIN * x
-            jacobian += _GMIN * np.eye(n_free)
-            try:
-                delta = np.linalg.solve(jacobian, -residual[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                break
-            delta = np.clip(delta, -_MAX_STEP, _MAX_STEP)
-            x = np.clip(x + delta, -0.2, tech.vdd + 0.2)
-            if float(np.max(np.abs(delta))) < _VTOL:
-                converged = True
-                break
-        if converged:
-            residual, _, supply = evaluate(x)
-            if include_gate_leakage:
-                supply = supply + gate_supply(x)
-            return DCSolution(
-                leakage=supply,
-                free_voltages=x,
-                iterations=iterations,
-                max_residual=float(np.max(np.abs(residual))),
-            )
-
-    raise SolverError(
-        f"{netlist.name}: DC solve failed to converge for state {dict(state)!r}")
+    shifts = None if vt_shifts is None else [vt_shifts]
+    return solve_dc_batch([(netlist, state)], model, length, shifts,
+                          include_gate_leakage=include_gate_leakage)[0]

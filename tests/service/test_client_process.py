@@ -3,9 +3,11 @@ supervised OS-process worker pool."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -69,6 +71,18 @@ class TestProcessModeRoundTrip:
         for entry in liveness:
             assert entry["pid"] != os.getpid()
             assert entry["alive"]
+
+    def test_memory_tier_never_replays_a_trace(self, process_client):
+        traced = dataclasses.replace(REQUEST, n_cells=901, trace=True)
+        cold = process_client.estimate(traced, timeout=120.0)
+        assert "trace" in cold.details
+        warm = process_client.estimate(
+            dataclasses.replace(traced, trace=False), timeout=120.0)
+        assert "trace" not in warm.details
+        expected = cold.to_dict()
+        expected["details"] = {name: value for name, value
+                               in cold.details.items() if name != "trace"}
+        assert warm.to_dict() == expected
 
     def test_repeat_is_answered_warm_by_the_parent(self, process_client):
         first = process_client.estimate(REQUEST, timeout=120.0)
@@ -161,7 +175,16 @@ class TestProcessModeFailures:
     def test_close_reaps_worker_processes(self):
         client = ServiceClient(workers=1, worker_mode="process",
                                process_pool=dict(POOL_OPTIONS))
-        pids = [entry["pid"] for entry in client.worker_liveness()]
+        # Shepherds spawn workers asynchronously: read pids only once
+        # every slot has answered its ready handshake.
+        deadline = time.monotonic() + 60.0
+        while True:
+            entries = client.worker_liveness()
+            if all(entry["state"] == "up" for entry in entries):
+                break
+            assert time.monotonic() < deadline, entries
+            time.sleep(0.01)
+        pids = [entry["pid"] for entry in entries]
         assert pids
         client.close()
         for pid in pids:

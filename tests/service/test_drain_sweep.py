@@ -18,6 +18,7 @@ import urllib.request
 import pytest
 
 from repro.service import ServiceClient, create_server
+from repro.service.faults import SITE_COMPUTE_HANG, FaultInjector, FaultRule
 
 from .conftest import CELLS
 
@@ -34,8 +35,15 @@ SWEEP_BODY = {
 }
 
 
+def _slow_client():
+    """A client whose first grid point stalls, so the sweep is still in
+    flight when the test looks for it however fast the grid computes."""
+    return ServiceClient(workers=1, faults=FaultInjector(
+        {SITE_COMPUTE_HANG: FaultRule(1.0, 1)}, hang_seconds=0.5))
+
+
 def test_drain_mid_sweep_finishes_the_whole_grid():
-    client = ServiceClient(workers=1)
+    client = _slow_client()
     server = create_server(client, port=0)
     serve_thread = threading.Thread(target=server.serve_forever,
                                     daemon=True)
@@ -112,7 +120,7 @@ def test_drain_with_short_grace_still_never_serves_partial_grids():
     """Even when the grace expires first, the caller sees the full grid
     (the job keeps running to completion) or a typed error -- never a
     truncated ``estimates`` list."""
-    client = ServiceClient(workers=1)
+    client = _slow_client()
     server = create_server(client, port=0)
     serve_thread = threading.Thread(target=server.serve_forever,
                                     daemon=True)

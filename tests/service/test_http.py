@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -95,6 +96,30 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get(server, "/v1/nope")
         assert excinfo.value.code == 404
+
+
+class TestKeepAlive:
+    def test_kept_alive_requests_do_not_stall(self, server):
+        """Sequential requests on one connection answer promptly (no
+        Nagle / delayed-ACK stall between the header and body writes)."""
+        host, port = server[len("http://"):].split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            started = time.perf_counter()
+            for _ in range(10):
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.2, f"10 kept-alive requests took {elapsed:.3f} s"
+
+    def test_front_handler_disables_nagle(self):
+        from repro.service.fleet import _FrontHandler
+
+        assert _FrontHandler.disable_nagle_algorithm is True
 
 
 class TestErrors:

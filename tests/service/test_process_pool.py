@@ -163,6 +163,23 @@ def test_liveness_reports_pid_restarts_and_heartbeat_age(pool):
     assert entry["heartbeat_age_s"] < 5.0
 
 
+def test_liveness_state_goes_starting_up_down():
+    pool = _pool(n_workers=2)
+    try:
+        assert {entry["state"] for entry in pool.liveness()} <= {
+            "starting", "up"}
+        pool.run({"action": "echo", "value": 1}, wait=30.0)
+        deadline = time.monotonic() + 30.0
+        while not all(entry["state"] == "up" for entry in pool.liveness()):
+            assert time.monotonic() < deadline, pool.liveness()
+            time.sleep(0.01)
+        assert all(entry["pid"] is not None and entry["alive"]
+                   for entry in pool.liveness())
+    finally:
+        pool.stop()
+    assert all(entry["state"] == "down" for entry in pool.liveness())
+
+
 def test_stop_reaps_every_worker_no_orphans():
     pool = _pool(n_workers=2)
     pool.run({"action": "echo", "value": 1}, wait=30.0)

@@ -195,3 +195,22 @@ class TestInProcessClient:
             assert estimate.mean > 0
         finally:
             client.close()
+
+    def test_whatifs_keep_their_base_alive(self):
+        """A base named by what-ifs is refreshed on use, so fresh
+        estimates served in between do not evict it."""
+        client = ServiceClient(workers=1)
+        try:
+            client.pipeline.max_base_requests = 4
+            base = EstimateRequest.from_dict(ESTIMATE_BODY)
+            client.estimate(base)
+            key = base.key()
+            for step in range(client.pipeline.max_base_requests + 10):
+                client.estimate(EstimateRequest.from_dict(
+                    dict(ESTIMATE_BODY, n_cells=1000 + step)))
+                estimate = client.whatif(WhatIfRequest(
+                    base=key, edits=[swap_edit(0.01 + 0.001 * step)]))
+                assert estimate.details["delta"]["edits"] == 1
+            assert client.has_base(key)
+        finally:
+            client.close()
