@@ -23,9 +23,10 @@ from repro.backend.base import KernelBackend
 from repro.exceptions import MomentExistenceError
 
 #: Bound on ``chunk * q * q`` elements per batched covariance-grid
-#: temporary (~32 MiB of float64), keeping peak memory flat no matter
-#: how fine the rho grid or how large the mixture.
-_GRID_CHUNK_ELEMENTS = 1 << 22
+#: buffer (256 KiB of float64, three buffers), so the working set stays
+#: in cache and peak memory flat no matter how fine the rho grid or how
+#: large the mixture.
+_GRID_CHUNK_ELEMENTS = 1 << 15
 
 
 class NumpyBackend(KernelBackend):
@@ -50,23 +51,36 @@ class NumpyBackend(KernelBackend):
         q = alphas.shape[0]
         values = np.empty_like(grid)
         chunk = max(1, _GRID_CHUNK_ELEMENTS // max(1, q * q))
+        buffers = np.empty((3, min(chunk, grid.shape[0]), q, q))
         for start in range(0, grid.shape[0], chunk):
             rho = grid[start:start + chunk]
+            n = rho.shape[0]
+            det, quad, term = buffers[:, :n]
             # (4*rho)*rho == 4*(rho*rho) exactly: scaling by a power of
             # two commutes with IEEE rounding, so the batched form below
             # matches the historical per-scalar "4.0 * rho * rho * aa".
             rho_sq = rho * rho
-            det = d0[None] - (4.0 * rho_sq)[:, None, None] * aa[None]
+            np.multiply((4.0 * rho_sq)[:, None, None], aa, out=det)
+            np.subtract(d0, det, out=det)
             exists = det > 0
             if not exists.all():
                 bad = int(np.argmin(exists.all(axis=(1, 2))))
                 raise MomentExistenceError(
                     "pairwise cross moment does not exist at "
                     f"rho_L = {grid[start + bad]:.3f}")
-            quad = (p0[None] + rho[:, None, None] * p1[None]
-                    + rho_sq[:, None, None] * p2[None]) / det
-            cross = det ** -0.5 * np.exp(k_sum[None] + 0.5 * quad)
-            for offset in range(rho.shape[0]):
+            # quad = (p0 + rho*p1 + rho^2*p2) / det, then
+            # cross = det**-0.5 * exp(k_sum + 0.5*quad), in place.
+            np.multiply(rho[:, None, None], p1, out=quad)
+            np.add(p0, quad, out=quad)
+            np.multiply(rho_sq[:, None, None], p2, out=term)
+            np.add(quad, term, out=quad)
+            np.divide(quad, det, out=quad)
+            np.multiply(0.5, quad, out=quad)
+            np.add(k_sum, quad, out=quad)
+            np.exp(quad, out=quad)
+            np.power(det, -0.5, out=det)
+            cross = np.multiply(det, quad, out=quad)
+            for offset in range(n):
                 values[start + offset] = float(
                     alphas @ cross[offset] @ alphas) - mean_total ** 2
         return values

@@ -14,7 +14,12 @@ Plus the leakage-correlation mapping ``f_{m,n}`` of Section 2.1.3
 multiplier (:mod:`repro.characterization.vt`).
 """
 
-from repro.characterization.fitting import LeakageFit, fit_leakage, sample_lengths
+from repro.characterization.fitting import (
+    LeakageFit,
+    fit_leakage,
+    fit_leakage_batch,
+    sample_lengths,
+)
 from repro.characterization.moments import (
     log_mgf,
     mgf_moments,
@@ -34,6 +39,7 @@ from repro.characterization.characterizer import (
     characterize_library,
 )
 from repro.characterization.store import (
+    characterization_document,
     dump_characterization,
     load_characterization,
     parse_characterization,
@@ -43,6 +49,7 @@ from repro.characterization.store import (
 __all__ = [
     "LeakageFit",
     "fit_leakage",
+    "fit_leakage_batch",
     "sample_lengths",
     "log_mgf",
     "mgf_moments",
@@ -56,6 +63,7 @@ __all__ = [
     "CellCharacterization",
     "LibraryCharacterization",
     "characterize_library",
+    "characterization_document",
     "dump_characterization",
     "load_characterization",
     "parse_characterization",

@@ -15,7 +15,11 @@ import numpy as np
 
 from repro.cells.cell import Cell
 from repro.cells.library import StandardCellLibrary
-from repro.characterization.fitting import LeakageFit, fit_leakage, sample_lengths
+from repro.characterization.fitting import (
+    LeakageFit,
+    fit_leakage_batch,
+    sample_lengths,
+)
 from repro.characterization.moments import mgf_moments
 from repro.characterization.montecarlo import mc_state_moments
 from repro.devices.mosfet import DeviceModel
@@ -156,12 +160,20 @@ def characterize_library(
     if mode not in (ANALYTICAL, MONTECARLO):
         raise CharacterizationError(f"unknown mode {mode!r}")
     if mode == ANALYTICAL:
-        # Every state shares the deterministic lengths: one batched solve.
+        # Every state shares the deterministic lengths: one batched
+        # solve and one batched fit.
         lengths = sample_lengths(mu_l, sigma_l, fit_points)
-        solutions = iter(solve_dc_batch(
-            [(library[name].netlist, state.nodes)
-             for name in names for state in library[name].states],
-            model, lengths, include_gate_leakage=include_gate_leakage))
+        pairs = [(library[name], state) for name in names
+                 for state in library[name].states]
+        solutions = solve_dc_batch(
+            [(cell.netlist, state.nodes) for cell, state in pairs],
+            model, lengths, include_gate_leakage=include_gate_leakage)
+        fits = iter(fit_leakage_batch(
+            lengths,
+            np.array([solution.leakage for solution in solutions]
+                     ).reshape(len(pairs), lengths.size),
+            names=[f"{cell.name} state {state.label}"
+                   for cell, state in pairs]))
 
     table: Dict[str, CellCharacterization] = {}
     for name in names:
@@ -169,7 +181,7 @@ def characterize_library(
         state_chars = []
         for state in cell.states:
             if mode == ANALYTICAL:
-                fit = fit_leakage(lengths, next(solutions).leakage)
+                fit = next(fits)
                 mean, std = mgf_moments(fit.a, fit.b, fit.c, mu_l, sigma_l)
             else:
                 fit = None

@@ -8,9 +8,8 @@ both the exact moment formulas and the leakage-correlation mapping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +56,8 @@ def sample_lengths(mu: float, sigma: float, n_points: int = 9,
 def fit_leakage(lengths: np.ndarray, leakages: np.ndarray) -> LeakageFit:
     """Least-squares fit of ``ln X`` to a quadratic in ``L``.
 
+    The one-state case of :func:`fit_leakage_batch`.
+
     Parameters
     ----------
     lengths:
@@ -68,16 +69,51 @@ def fit_leakage(lengths: np.ndarray, leakages: np.ndarray) -> LeakageFit:
     -------
     LeakageFit
     """
-    lengths = np.asarray(lengths, dtype=float)
     leakages = np.asarray(leakages, dtype=float)
-    if lengths.shape != leakages.shape or lengths.ndim != 1:
+    if leakages.ndim != 1:
         raise CharacterizationError(
             "lengths and leakages must be equal-length 1-D arrays")
+    return fit_leakage_batch(lengths, leakages[None, :])[0]
+
+
+def fit_leakage_batch(lengths: np.ndarray, leakages: np.ndarray,
+                      names: Optional[Sequence[str]] = None
+                      ) -> List[LeakageFit]:
+    """Least-squares fits of ``ln X`` to a quadratic in ``L``, one per
+    row of ``leakages``, all over the same ``lengths``.
+
+    The lengths are shared, so the ``3 x P`` least-squares operator is
+    computed once and applied to every row by a fixed-order
+    elementwise accumulation over the ``P`` points (not a BLAS
+    product): a row's fit is bit-identical whether it is fitted alone
+    or in any batch.
+
+    Parameters
+    ----------
+    lengths:
+        Channel-length sample points [m], shape ``(P,)``.
+    leakages:
+        Leakage current per row and point [A], shape ``(N, P)``; must
+        be positive.
+    names:
+        Optional name per row (e.g. ``"NAND2_X1 state I0=0,I1=1"``),
+        used to say which row an error is about.
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    leakages = np.asarray(leakages, dtype=float)
+    if (lengths.ndim != 1 or leakages.ndim != 2
+            or leakages.shape[1] != lengths.size):
+        raise CharacterizationError(
+            "lengths must be 1-D and leakages an (N, P) array with one "
+            "column per length")
     if lengths.size < 3:
         raise CharacterizationError("need at least 3 points to fit")
-    if np.any(leakages <= 0):
+    bad = np.flatnonzero(np.any(leakages <= 0, axis=1))
+    if bad.size:
+        where = "" if names is None else f"{names[int(bad[0])]}: "
         raise CharacterizationError(
-            "leakage samples must be positive to fit the exponential form")
+            f"{where}leakage samples must be positive to fit the "
+            "exponential form")
 
     # Center and scale L for conditioning; map coefficients back.
     center = float(lengths.mean())
@@ -85,16 +121,24 @@ def fit_leakage(lengths: np.ndarray, leakages: np.ndarray) -> LeakageFit:
     if scale == 0:
         raise CharacterizationError("length sample points are degenerate")
     z = (lengths - center) / scale
+    operator = np.linalg.pinv(np.column_stack([z * z, z, np.ones_like(z)]))
     log_x = np.log(leakages)
-    coeff, residuals, _, __ = np.linalg.lstsq(
-        np.column_stack([z * z, z, np.ones_like(z)]), log_x, rcond=None)
-    c2, c1, c0 = (float(v) for v in coeff)
+    coeff = np.zeros((3, leakages.shape[0]))
+    for point in range(lengths.size):
+        coeff += operator[:, point, None] * log_x[:, point]
+    c2, c1, c0 = coeff
 
     # ln X = c2*((L-m)/s)^2 + c1*(L-m)/s + c0
     c = c2 / (scale * scale)
     b = c1 / scale - 2.0 * c2 * center / (scale * scale)
     log_a = c0 - c1 * center / scale + c2 * center * center / (scale * scale)
 
-    fitted = c * lengths ** 2 + b * lengths + log_a
-    rms = float(np.sqrt(np.mean((fitted - log_x) ** 2)))
-    return LeakageFit(a=math.exp(log_a), b=b, c=c, rms_log_error=rms)
+    residual = (c[:, None] * lengths ** 2 + b[:, None] * lengths
+                + log_a[:, None] - log_x)
+    squares = np.zeros(leakages.shape[0])
+    for point in range(lengths.size):
+        squares += residual[:, point] ** 2
+    rms = np.sqrt(squares / lengths.size)
+    return [LeakageFit(a=a, b=b, c=c, rms_log_error=r)
+            for a, b, c, r in zip(np.exp(log_a).tolist(), b.tolist(),
+                                  c.tolist(), rms.tolist())]

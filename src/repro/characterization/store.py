@@ -11,7 +11,7 @@ it back, validating that the target library and technology still match.
 from __future__ import annotations
 
 import json
-from typing import Dict
+from typing import Any, Dict
 
 from repro.cells.library import StandardCellLibrary
 from repro.characterization.characterizer import (
@@ -43,8 +43,9 @@ def _technology_fingerprint(technology: Technology) -> Dict[str, float]:
     }
 
 
-def dump_characterization(characterization: LibraryCharacterization) -> str:
-    """Serialize to a JSON string."""
+def characterization_document(
+        characterization: LibraryCharacterization) -> Dict[str, Any]:
+    """The JSON-ready document :func:`dump_characterization` dumps."""
     cells = {}
     for name in characterization.cell_names:
         cell_char = characterization[name]
@@ -62,14 +63,18 @@ def dump_characterization(characterization: LibraryCharacterization) -> str:
                 }
             states.append(record)
         cells[name] = states
-    document = {
+    return {
         "format": "repro-characterization",
         "version": _FORMAT_VERSION,
         "mode": characterization.mode,
         "technology": _technology_fingerprint(characterization.technology),
         "cells": cells,
     }
-    return json.dumps(document, indent=1)
+
+
+def dump_characterization(characterization: LibraryCharacterization) -> str:
+    """Serialize to a JSON string."""
+    return json.dumps(characterization_document(characterization), indent=1)
 
 
 def save_characterization(characterization: LibraryCharacterization,

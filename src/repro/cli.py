@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from typing import Dict, List, Optional, Sequence
 
 from repro import __version__
@@ -41,7 +42,12 @@ from repro.characterization.store import (
 )
 from repro.core.api import FullChipLeakageEstimator
 from repro.core.usage import CellUsage
-from repro.exceptions import ReproError
+from repro.exceptions import (
+    ConfigurationError,
+    NetlistError,
+    ReproError,
+    UnknownBaseError,
+)
 from repro.process.technology import synthetic_90nm
 
 
@@ -128,7 +134,7 @@ def _parse_usage(entries: Optional[Sequence[str]],
     fractions: Dict[str, float] = {}
     for entry in entries:
         if "=" not in entry:
-            raise ReproError(
+            raise ConfigurationError(
                 f"--usage entries must be NAME=FRACTION, got {entry!r}")
         name, _, value = entry.partition("=")
         fractions[name.strip()] = float(value)
@@ -154,7 +160,7 @@ def _thermal_from_args(args):
         set_flags = [name for name, value in knobs.items()
                      if value is not None]
         if set_flags:
-            raise ReproError(
+            raise ConfigurationError(
                 "thermal knobs require --thermal: "
                 + ", ".join("--" + name.replace("_", "-")
                             for name in set_flags))
@@ -453,7 +459,7 @@ def _cmd_submit(args) -> int:
         usage = {}
         for entry in args.usage:
             if "=" not in entry:
-                raise ReproError(
+                raise ConfigurationError(
                     f"--usage entries must be NAME=FRACTION, got {entry!r}")
             name, _, value = entry.partition("=")
             usage[name.strip()] = float(value)
@@ -511,14 +517,14 @@ def _cmd_whatif(args) -> int:
         try:
             document = json.loads(entry)
         except json.JSONDecodeError as exc:
-            raise ReproError(
+            raise ConfigurationError(
                 f"--edit entries must be JSON documents, got {entry!r} "
                 f"({exc})") from exc
         edits.append(document)
     for swap in args.swap or []:
         parts = swap.split(":")
         if len(parts) not in (2, 3):
-            raise ReproError(
+            raise ConfigurationError(
                 "--swap entries must be FROM:TO[:FRACTION], "
                 f"got {swap!r}")
         edit = {"type": "cell_swap",
@@ -538,7 +544,7 @@ def _cmd_whatif(args) -> int:
             edit["height"] = args.height_mm * 1e-3
         edits.append(edit)
     if not edits:
-        raise ReproError(
+        raise ConfigurationError(
             "what-if needs at least one edit: --edit JSON, "
             "--swap FROM:TO[:FRACTION], --cells/--width-mm/--height-mm")
 
@@ -594,7 +600,7 @@ def _parse_sweep_axis(entry: str, library, technology, usage):
     name = name.strip().lower().replace("_", "-")
     values = [value for value in raw.split(",") if value.strip()]
     if not values:
-        raise ReproError(
+        raise ConfigurationError(
             f"--axis entries must be NAME=V1,V2,..., got {entry!r}")
     if name == "corr-length-mm":
         return correlation_length_axis(
@@ -610,7 +616,7 @@ def _parse_sweep_axis(entry: str, library, technology, usage):
         return temperature_axis(
             [float(value) + 273.15 for value in values], library,
             technology, cells=usage.names)
-    raise ReproError(
+    raise ConfigurationError(
         f"unknown sweep axis {name!r}; choose one of {_SWEEP_AXES}")
 
 
@@ -928,13 +934,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Errors that mean the user's input or configuration is wrong: exit 1.
+_USER_ERRORS = (ConfigurationError, NetlistError, UnknownBaseError)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; exit code 0 on success, 1 on a user or
+    configuration error, 2 on an internal error."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except _USER_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception:  # noqa: BLE001 - an internal error, not a crash
+        traceback.print_exc()
         return 2
 
 

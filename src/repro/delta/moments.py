@@ -48,9 +48,8 @@ import numpy as np
 
 from repro.exceptions import MomentExistenceError
 
-#: Bound on ``chunk * q * q`` elements per batched temporary — the same
-#: ~32 MiB float64 budget the numpy backend uses for its covariance
-#: grid, keeping peak memory flat for any mixture size.
+#: Bound on ``chunk * rows * cols`` elements per batched temporary
+#: (~32 MiB of float64), keeping peak memory flat for any mixture size.
 _CHUNK_ELEMENTS = 1 << 22
 
 

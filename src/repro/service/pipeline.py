@@ -44,7 +44,7 @@ from repro.backend import resolve_backend_name
 from repro.cells.library import build_library
 from repro.characterization.characterizer import characterize_library
 from repro.characterization.store import (
-    dump_characterization,
+    characterization_document,
     parse_characterization,
 )
 from repro.core.api import FullChipLeakageEstimator, LeakageEstimate, \
@@ -217,9 +217,10 @@ class EstimationPipeline:
             characterization = characterize_library(
                 self.library, technology, mode=request.mode,
                 cells=request.cells)
-        self.cache.put(TIER_CHARACTERIZATION, key, characterization,
-                       payload=json.loads(
-                           dump_characterization(characterization)))
+        with span("cache_store", tier=TIER_CHARACTERIZATION):
+            self.cache.put(TIER_CHARACTERIZATION, key, characterization,
+                           payload=characterization_document(
+                               characterization))
         return characterization
 
     def _usage(self, request: EstimateRequest,
@@ -293,8 +294,8 @@ class EstimationPipeline:
     #: itself — ``/v1/jobs/<id>`` and ``details["trace"]``).
     SERVICE_STAGES = (
         "service.request", "service.sweep", "service.whatif", "queue_wait",
-        "cache_lookup", "characterize", "rg", "estimate", "degraded",
-        "serialize", "sweep.point",
+        "cache_lookup", "cache_store", "characterize", "rg", "estimate",
+        "degraded", "serialize", "sweep.point",
         # Delta-path stages (the what-if protocol): base snapshotting
         # and the incremental update halves.
         "delta.base_estimate", "delta.base_mixture", "delta.base_moments",
@@ -441,7 +442,8 @@ class EstimationPipeline:
         else:
             with span("serialize"):
                 payload = estimate.to_dict()
-            self.cache.put(TIER_ESTIMATE, key, estimate, payload=payload)
+            with span("cache_store", tier=TIER_ESTIMATE):
+                self.cache.put(TIER_ESTIMATE, key, estimate, payload=payload)
             if self._requests is not None:
                 self._requests.inc(outcome="computed")
             thermal_doc = estimate.details.get("thermal")

@@ -13,6 +13,11 @@ The whole batch is one array problem:
   table (system, polarity, width, gate/source/drain rows). The rows
   index one ``(rows, S)`` node-voltage matrix: GND, VDD, then each
   system's free nodes. Pinned logic nodes map to the rail rows.
+* **Cached stamps.** A system's transistor rows and scatter terms
+  depend only on its netlist and state, so each is built once in local
+  indices and kept in a bounded cache keyed by the netlist's value and
+  the state's pinned levels. A batch's table is the concatenation of
+  its stamps with the local indices offset.
 * **One device call per polarity per iteration**, on ``(T, S)`` arrays,
   with the Vt roll-off of the shared lengths computed once.
 * **KCL assembly** scatters residuals, Jacobian entries and supply
@@ -39,13 +44,14 @@ VDD-pinned nodes may associate differently).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.devices.mosfet import NMOS, PMOS, DeviceModel
 from repro.exceptions import SolverError
-from repro.spice.netlist import CellNetlist, GND
+from repro.spice.netlist import CellNetlist, GND, VDD
 
 #: Conductance from every free node to ground [S]; standard convergence aid.
 _GMIN = 1e-15
@@ -61,6 +67,10 @@ _GUESSES = (0.5, 0.05, 0.95)
 
 #: Rows of the rail potentials in the node-voltage matrix.
 _GND_ROW, _VDD_ROW, _FIRST_FREE_ROW = 0, 1, 2
+
+#: Bound on cached per-(netlist, state) stamps; the default library has
+#: 504 states.
+_STAMP_CACHE_SIZE = 1024
 
 
 @dataclass
@@ -91,128 +101,183 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.intp)
 
 
+class _Stamp(NamedTuple):
+    """The transistor rows and scatter terms of one ``(netlist, state)``
+    system, in local indices.
+
+    Free-node rows count from ``_FIRST_FREE_ROW`` and transistors from
+    0; each scatter list is an ``(n, 4)`` array of ``(target,
+    transistor, output, sign)`` terms in transistor order, whose
+    targets count from 0 within the system (its free nodes, Jacobian
+    entries, VDD-pinned nodes, or the system itself for ``gate_flow``).
+    ``output`` 0 is the device current (or di/dvs, i_gs), 1 is di/dvd
+    (or i_gd).
+    """
+
+    n_free: int
+    n_high: int
+    names: Tuple[str, ...]
+    nmos: np.ndarray
+    width_mult: np.ndarray
+    terminals: np.ndarray
+    residual: np.ndarray
+    jacobian: np.ndarray
+    outflow: np.ndarray
+    gate_flow: np.ndarray
+
+
+def _stamp(netlist: CellNetlist, state: Mapping[str, int]) -> _Stamp:
+    """The cached :class:`_Stamp` of ``netlist`` in logic ``state``.
+
+    A stamp depends only on the netlist and on which pinned nodes are
+    high: with ``vdd > 0`` (validated by the technology) a pinned node
+    is at VDD exactly when its logic value is 1.
+    """
+    netlist.validate_state(state)
+    return _build_stamp(netlist, tuple(
+        bool(state[node]) for node in (*netlist.inputs,
+                                        *netlist.logic_nodes)))
+
+
+@lru_cache(maxsize=_STAMP_CACHE_SIZE)
+def _build_stamp(netlist: CellNetlist, levels: Tuple[bool, ...]) -> _Stamp:
+    pinned = {VDD: True, GND: False}
+    pinned.update(zip((*netlist.inputs, *netlist.logic_nodes), levels))
+    free = {node: i for i, node in enumerate(netlist.free_nodes)}
+    size = len(free)
+    # One outflow accumulator per VDD-pinned node, in name order.
+    high = sorted(node for node, is_high in pinned.items()
+                  if is_high and node != GND)
+    high_slot = {node: i for i, node in enumerate(high)}
+
+    def row(node):
+        if node in free:
+            return _FIRST_FREE_ROW + free[node]
+        return _VDD_ROW if pinned[node] else _GND_ROW
+
+    residual, jacobian, outflow, gate_flow = [], [], [], []
+    for index, t in enumerate(netlist.transistors):
+        nmos = t.kind == NMOS
+        # Current into the source node is +i for NMOS, -i for PMOS;
+        # d(into_src)/dv carries the same sign.
+        sign = 1.0 if nmos else -1.0
+        for node, other, into, d_self, d_other in (
+                (t.source, t.drain, sign, 0, 1),
+                (t.drain, t.source, -sign, 1, 0)):
+            if node in free:
+                i = free[node]
+                residual.append((i, index, 0, into))
+                jacobian.append((i * size + i, index, d_self, into))
+                if other in free:
+                    jacobian.append((i * size + free[other], index,
+                                     d_other, into))
+            elif node in high_slot:
+                outflow.append((high_slot[node], index, 0, -into))
+        # Gate tunneling flows gate -> terminal for NMOS and
+        # terminal -> gate for PMOS.
+        for terminal, which in ((t.source, 0), (t.drain, 1)):
+            origin, target = ((t.gate, terminal) if nmos
+                              else (terminal, t.gate))
+            if origin in high_slot:
+                gate_flow.append((0, index, which, 1.0))
+            if target in high_slot:
+                gate_flow.append((0, index, which, -1.0))
+
+    def frozen(values, dtype=float):
+        array = np.array(values, dtype=dtype)
+        array.flags.writeable = False
+        return array
+
+    transistors = netlist.transistors
+    return _Stamp(
+        n_free=size, n_high=len(high),
+        names=tuple(t.name for t in transistors),
+        nmos=frozen([t.kind == NMOS for t in transistors], bool),
+        width_mult=frozen([t.width_mult for t in transistors]),
+        terminals=frozen([[row(t.gate) for t in transistors],
+                          [row(t.source) for t in transistors],
+                          [row(t.drain) for t in transistors]], np.intp),
+        residual=frozen(residual).reshape(-1, 4),
+        jacobian=frozen(jacobian).reshape(-1, 4),
+        outflow=frozen(outflow).reshape(-1, 4),
+        gate_flow=frozen(gate_flow).reshape(-1, 4))
+
+
 class _Table:
     """Stacked transistor table and scatter plan of a batch of systems.
 
-    Transistors are stored NMOS first, then PMOS, so each polarity is
-    one contiguous slice; the scatter lists keep each system's
-    transistor order. Every scatter list is a tuple of
-    ``(system, target, position, sign)`` arrays: ``target`` is the row
-    the term adds into, ``position`` the table row (offset by the table
-    size for the second of a pair of device outputs) and ``sign`` the
-    +-1 factor applied to it.
+    The systems' cached stamps, concatenated with their local indices
+    offset into the batch. Transistors are stored NMOS first, then
+    PMOS, so each polarity is one contiguous slice; the scatter lists
+    keep system order and each system's transistor order. Every
+    scatter list is a tuple of ``(system, target, position, sign)``
+    arrays: ``target`` is the row the term adds into, ``position`` the
+    table row (offset by the table size for the second of a pair of
+    device outputs) and ``sign`` the +-1 factor applied to it.
     """
 
     def __init__(self, systems, model: DeviceModel, n_samples: int,
                  vt_shifts) -> None:
-        vdd = model.technology.vdd
-        min_width = model.technology.min_width
-        free_nodes = [netlist.free_nodes for netlist, _ in systems]
-        self.n_free = np.array([len(nodes) for nodes in free_nodes],
-                               dtype=np.intp)
+        stamps = [_stamp(netlist, state) for netlist, state in systems]
+        index = np.arange(len(stamps))
+        self.n_free = np.array([s.n_free for s in stamps], dtype=np.intp)
         self.free_start = _starts(self.n_free)
         self.entry_start = _starts(self.n_free ** 2)
         self.n_rows = int(self.n_free.sum())
         self.n_entries = int((self.n_free ** 2).sum())
+        n_high = [s.n_high for s in stamps]
+        self.high_sys = np.repeat(index, n_high)
 
-        columns = {name: [] for name in (
-            "sys", "nmos", "width", "gate", "src", "drn")}
-        shifts = []
-        residual, jacobian, outflow, gate_flow = [], [], [], []
-        high_sys = []
-        for k, (netlist, state) in enumerate(systems):
-            pinned = netlist.node_voltages(state, vdd)
-            start = int(self.free_start[k])
-            free = {node: start + i for i, node in enumerate(free_nodes[k])}
-            # One outflow accumulator per VDD-pinned node, in name order.
-            high = sorted(node for node, volt in pinned.items()
-                          if volt == vdd and node != GND)
-            high_slot = {node: len(high_sys) + i
-                         for i, node in enumerate(high)}
-            high_sys.extend([k] * len(high))
-            entry = int(self.entry_start[k])
-            size = len(free)
-
-            def row(node):
-                if node in free:
-                    return _FIRST_FREE_ROW + free[node]
-                return _VDD_ROW if pinned[node] == vdd else _GND_ROW
-
-            system_shifts = None if vt_shifts is None else vt_shifts[k]
-            for t in netlist.transistors:
-                index = len(columns["sys"])
-                nmos = t.kind == NMOS
-                columns["sys"].append(k)
-                columns["nmos"].append(nmos)
-                columns["width"].append(t.width_mult * min_width)
-                columns["gate"].append(row(t.gate))
-                columns["src"].append(row(t.source))
-                columns["drn"].append(row(t.drain))
-                shifts.append(0.0 if system_shifts is None else
-                              system_shifts.get(t.name, 0.0))
-                # Terms are (system, target, transistor, output, sign);
-                # output 0 is the current or di/dvs, 1 is di/dvd.
-                # Current into the source node is +i for NMOS, -i for
-                # PMOS; d(into_src)/dv carries the same sign.
-                sign = 1.0 if nmos else -1.0
-                for node, other, into, d_self, d_other in (
-                        (t.source, t.drain, sign, 0, 1),
-                        (t.drain, t.source, -sign, 1, 0)):
-                    if node in free:
-                        i = free[node] - start
-                        residual.append((k, free[node], index, 0, into))
-                        jacobian.append((k, entry + i * size + i,
-                                         index, d_self, into))
-                        if other in free:
-                            j = free[other] - start
-                            jacobian.append((k, entry + i * size + j,
-                                             index, d_other, into))
-                    elif node in high_slot:
-                        outflow.append((k, high_slot[node], index, 0, -into))
-                # Gate tunneling flows gate -> terminal for NMOS and
-                # terminal -> gate for PMOS; output 0 is i_gs, 1 is i_gd.
-                for terminal, which in ((t.source, 0), (t.drain, 1)):
-                    origin, target = ((t.gate, terminal) if nmos
-                                      else (terminal, t.gate))
-                    if origin in high_slot:
-                        gate_flow.append((k, k, index, which, 1.0))
-                    if target in high_slot:
-                        gate_flow.append((k, k, index, which, -1.0))
-
-        self.high_sys = np.array(high_sys, dtype=np.intp)
-        nmos = np.array(columns["nmos"], dtype=bool)
+        counts = [s.nmos.size for s in stamps]
+        owner = np.repeat(index, counts)
+        nmos = np.concatenate([s.nmos for s in stamps])
         # Stable NMOS-first permutation of the table rows.
         order = np.argsort(~nmos, kind="stable")
         self.position = np.empty_like(order)
         self.position[order] = np.arange(order.size)
         self.n_transistors = int(order.size)
         self.n_nmos = int(nmos.sum())
-        self.sys = np.array(columns["sys"], dtype=np.intp)[order]
-        self.width = np.array(columns["width"])[order][:, None]
+        self.sys = owner[order]
+        self.width = (np.concatenate([s.width_mult for s in stamps])
+                      * model.technology.min_width)[order][:, None]
         # Node-voltage rows of each device's gate, source and drain.
-        self.terminals = np.array(
-            [columns["gate"], columns["src"], columns["drn"]],
-            dtype=np.intp)[:, order]
+        terminals = np.concatenate([s.terminals for s in stamps], axis=1)
+        terminals = terminals + np.where(
+            terminals >= _FIRST_FREE_ROW, self.free_start[owner], 0)
+        self.terminals = terminals[:, order]
         if vt_shifts is None:
             self.shift = None
         else:
             matrix = np.empty((order.size, n_samples))
-            for index, value in enumerate(shifts):
-                matrix[index] = value
+            row = 0
+            for stamp, shifts in zip(stamps, vt_shifts):
+                for name in stamp.names:
+                    matrix[row] = shifts.get(name, 0.0)
+                    row += 1
             self.shift = matrix[order]
-        self.residual = self._plan(residual)
-        self.jacobian = self._plan(jacobian)
-        self.outflow = self._plan(outflow)
-        self.gate_flow = self._plan(gate_flow)
+        transistor_start = _starts(np.array(counts))
+        self.residual = self._plan(
+            [s.residual for s in stamps], self.free_start, transistor_start)
+        self.jacobian = self._plan(
+            [s.jacobian for s in stamps], self.entry_start, transistor_start)
+        self.outflow = self._plan(
+            [s.outflow for s in stamps], _starts(np.array(n_high)),
+            transistor_start)
+        self.gate_flow = self._plan(
+            [s.gate_flow for s in stamps], index, transistor_start)
 
-    def _plan(self, terms) -> Tuple[np.ndarray, ...]:
-        """``(system, target, transistor, output, sign)`` terms ->
-        ``(system, target, position, sign)`` arrays."""
-        terms = np.array(terms, dtype=float).reshape(-1, 5)
-        systems, targets, transistors, outputs = \
-            terms[:, :4].astype(np.intp).T
-        positions = self.position[transistors] + self.n_transistors * outputs
-        return systems, targets, positions, terms[:, 4]
+    def _plan(self, parts, target_start: np.ndarray,
+              transistor_start: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Local ``(target, transistor, output, sign)`` terms per system
+        -> batch ``(system, target, position, sign)`` arrays."""
+        systems = np.repeat(np.arange(len(parts)),
+                            [len(part) for part in parts])
+        terms = np.concatenate(parts)
+        targets, transistors, outputs = terms[:, :3].astype(np.intp).T
+        positions = (self.position[transistors + transistor_start[systems]]
+                     + self.n_transistors * outputs)
+        return (systems, targets + target_start[systems], positions,
+                terms[:, 3])
 
 
 class _Active:

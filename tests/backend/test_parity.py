@@ -85,6 +85,40 @@ def test_numpy_rg_grid_chunking_is_bit_identical(rng, monkeypatch):
     assert np.array_equal(got, want)
 
 
+def test_numpy_rg_grid_chunk_not_dividing_the_grid(rng):
+    """A short last chunk (65 points in chunks of 8 at q=64) reuses the
+    front of the in-place buffers and stays bit-identical."""
+    from repro.backend import numpy_backend
+
+    q = 64
+    chunk = numpy_backend._GRID_CHUNK_ELEMENTS // (q * q)
+    grid = np.linspace(-1.0, 1.0, 65)
+    assert 1 < chunk < grid.size and grid.size % chunk != 0
+    alphas, a, h, k, mean_total = rg_case(q, rng)
+    got = get_backend("numpy").rg_covariance_grid(alphas, a, h, k, grid,
+                                                  mean_total)
+    assert np.array_equal(got, historical_rg_grid(alphas, a, h, k, grid,
+                                                  mean_total))
+
+
+def test_numpy_rg_grid_peak_memory_is_bounded(rng):
+    """Cache-sized in-place chunks: at q=130 the whole call allocates
+    under 4 MiB (a 65-point grid of full-size temporaries is ~9 MiB
+    each)."""
+    import tracemalloc
+
+    alphas, a, h, k, mean_total = rg_case(130, rng)
+    grid = np.linspace(-1.0, 1.0, 65)
+    kernels = get_backend("numpy")
+    tracemalloc.start()
+    try:
+        kernels.rg_covariance_grid(alphas, a, h, k, grid, mean_total)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 def test_numpy_rg_grid_existence_error_matches_historical(rng):
     kernels = get_backend("numpy")
     alphas, a, h, k, mean_total = rg_case(4, rng)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from repro.characterization import (
+    characterization_document,
     dump_characterization,
     load_characterization,
     parse_characterization,
@@ -25,6 +26,16 @@ class TestRoundTrip:
                 assert a.mean == b.mean
                 assert a.std == b.std
                 assert a.fit.b == b.fit.b
+
+    def test_document_equals_the_json_round_trip(self,
+                                                 small_characterization):
+        """The service caches the document itself as the payload; it
+        must equal what a dump-and-load would have produced."""
+        document = characterization_document(small_characterization)
+        assert document == json.loads(
+            dump_characterization(small_characterization))
+        assert json.dumps(document, indent=1) == dump_characterization(
+            small_characterization)
 
     def test_estimates_identical_after_reload(self, small_characterization,
                                               library, technology):

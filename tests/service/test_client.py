@@ -87,6 +87,24 @@ class TestTieredReuse:
         assert "repro_stage_seconds_bucket" in text
 
 
+class TestCacheStoreSpan:
+    def test_cache_writes_are_their_own_stage(self, small_request):
+        """The characterization and estimate cache writes are traced as
+        ``cache_store`` spans (one per tier), not hidden in the root's
+        self time, and reach ``repro_stage_seconds``."""
+        traced = dataclasses.replace(small_request, trace=True)
+        with ServiceClient(workers=1) as client:
+            cold = client.estimate(traced, timeout=120.0)
+            text = client.metrics_text()
+        document = cold.details["trace"]
+        assert document["stages"]["cache_store"]["count"] == 2
+        tiers = [child["attrs"]["tier"]
+                 for child in document["spans"][0]["children"]
+                 if child["name"] == "cache_store"]
+        assert tiers == [TIER_CHARACTERIZATION, TIER_ESTIMATE]
+        assert 'stage="cache_store"' in text
+
+
 class TestAsyncApi:
     def test_submit_then_wait(self, small_request):
         with ServiceClient(workers=1) as client:

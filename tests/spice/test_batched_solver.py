@@ -8,17 +8,21 @@ system: same iteration counts, and leakage and free voltages within
 cell's outflow over several VDD-pinned nodes in a different order).
 """
 
+import copy
+import dataclasses
 from typing import Dict, Mapping, Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import repro.spice.solver as solver_module
 from repro.characterization.fitting import sample_lengths
 from repro.devices.mosfet import NMOS, DeviceModel
-from repro.exceptions import SolverError
+from repro.exceptions import NetlistError, SolverError
 from repro.spice import solve_dc_batch
 from repro.spice.netlist import CellNetlist, GND
+from tests.cells.test_random_cells import random_cells
 
 RTOL = 1e-12
 
@@ -235,3 +239,107 @@ class TestBatchFailure:
         monkeypatch.setattr(np.linalg, "solve", real_solve)
         others = [s for s in systems if not s[2].startswith("FA_X1")]
         _assert_matches_oracle(others, device_model, fit_lengths)
+
+
+def _leakages(systems, model, lengths):
+    return [(solution.leakage, solution.free_voltages, solution.iterations)
+            for solution in solve_dc_batch(
+                [(net, state) for net, state, _ in systems], model,
+                lengths)]
+
+
+class TestStampCache:
+    """Per-(netlist, state) stamps are cached by value and never leak
+    technology values from one call into another."""
+
+    @pytest.mark.parametrize("changes", [
+        {"vdd": 0.8}, {"vdd": 1.3}, {"min_width": 200e-9},
+        {"vdd": 1.1, "min_width": 90e-9}])
+    def test_other_technologies_match_an_uncached_build(
+            self, library, technology, device_model, fit_lengths, changes):
+        systems = _systems(library, ["NAND3_X1", "DFF_X1", "XOR2_X1"])
+        _leakages(systems, device_model, fit_lengths)  # warm the cache
+        model = DeviceModel(dataclasses.replace(technology, **changes))
+        warm = _leakages(systems, model, fit_lengths)
+        solver_module._build_stamp.cache_clear()
+        cold = _leakages(systems, model, fit_lengths)
+        for (label, *_), got, want in zip(systems, warm, cold):
+            assert np.array_equal(got[0], want[0]), label
+            assert np.array_equal(got[1], want[1]), label
+            assert got[2] == want[2], label
+        _assert_matches_oracle(systems, model, fit_lengths)
+
+    def test_equal_netlist_object_reuses_the_stamp(self, library):
+        cell = library["NAND2_X1"]
+        state = cell.states[1].nodes
+        twin = copy.deepcopy(cell.netlist)
+        assert twin == cell.netlist and twin is not cell.netlist
+        stamp = solver_module._stamp(cell.netlist, state)
+        assert solver_module._stamp(twin, state) is stamp
+        # Same pinned levels given as a different mapping: same stamp.
+        assert solver_module._stamp(cell.netlist, dict(state)) is stamp
+
+    def test_same_name_different_netlist_gets_its_own_stamp(
+            self, library, device_model, fit_lengths):
+        netlist = library["NAND2_X1"].netlist
+        wider = dataclasses.replace(netlist, transistors=tuple(
+            dataclasses.replace(t, width_mult=2.0 * t.width_mult)
+            for t in netlist.transistors))
+        assert wider.name == netlist.name and wider != netlist
+        state = library["NAND2_X1"].states[0].nodes
+        assert (solver_module._stamp(wider, state)
+                is not solver_module._stamp(netlist, state))
+        systems = [(netlist, state, "narrow"), (wider, state, "wide")]
+        narrow, wide = _leakages(systems, device_model, fit_lengths)
+        assert np.all(wide[0] > 1.5 * narrow[0])
+        _assert_matches_oracle(systems, device_model, fit_lengths)
+
+    @pytest.mark.parametrize("state", [
+        {"I0": 0, "Y": 1},              # missing input
+        {"I0": 0, "I1": 2, "Y": 1},     # not a logic value
+        {"I0": 0, "I1": [1], "Y": 1},   # not even hashable
+    ])
+    def test_invalid_state_raises_on_every_call(self, library, device_model,
+                                                fit_lengths, state):
+        netlist = library["NAND2_X1"].netlist
+        # A valid state with the same pinned levels is cached first.
+        solve_dc_batch([(netlist, {"I0": 0, "I1": 1, "Y": 1})],
+                       device_model, fit_lengths)
+        for _ in range(3):
+            with pytest.raises(NetlistError, match="^NAND2_X1: state"):
+                solve_dc_batch([(netlist, state)], device_model,
+                               fit_lengths)
+
+    def test_cache_is_bounded(self, library):
+        info = solver_module._build_stamp.cache_info()
+        assert info.maxsize == solver_module._STAMP_CACHE_SIZE
+        netlist = library["INV_X1"].netlist
+        state = library["INV_X1"].states[0].nodes
+        for k in range(info.maxsize + 10):
+            variant = dataclasses.replace(netlist, transistors=tuple(
+                dataclasses.replace(t, width_mult=1.0 + k / 4096)
+                for t in netlist.transistors))
+            solver_module._stamp(variant, state)
+        assert solver_module._build_stamp.cache_info().currsize == \
+            info.maxsize
+
+
+@settings(max_examples=25, deadline=None)
+@given(cell=random_cells())
+def test_stamp_cache_stays_bounded_over_random_cells(cell):
+    """Novel netlists (all named ``RANDOM``) each get their own stamps
+    and solve like an uncached build; the cache never outgrows its
+    bound."""
+    from repro.process import synthetic_90nm
+
+    model = DeviceModel(synthetic_90nm())
+    systems = [(cell.netlist, state.nodes, state.label)
+               for state in cell.states]
+    lengths = np.array([45e-9, 50e-9, 55e-9])
+    warm = _leakages(systems, model, lengths)
+    _assert_matches_oracle(systems, model, lengths)
+    assert all(np.array_equal(leakage, again[0])
+               for (leakage, *_), again in zip(
+                   warm, _leakages(systems, model, lengths)))
+    info = solver_module._build_stamp.cache_info()
+    assert info.currsize <= info.maxsize == solver_module._STAMP_CACHE_SIZE

@@ -55,7 +55,7 @@ class TestEstimateCommand:
     def test_bad_usage_entry_is_reported(self, capsys):
         code = main(["estimate", "--cells", "100", "--width-mm", "0.1",
                      "--height-mm", "0.1", "--usage", "INV_X1:0.5"])
-        assert code == 2
+        assert code == 1
         assert "NAME=FRACTION" in capsys.readouterr().err
 
     def test_thermal_coupled_solve(self, capsys):
@@ -84,7 +84,7 @@ class TestEstimateCommand:
         code = main(["estimate", "--cells", "100", "--width-mm", "0.1",
                      "--height-mm", "0.1", "--usage", "INV_X1=1.0",
                      "--power-scale", "10"])
-        assert code == 2
+        assert code == 1
         assert "--thermal" in capsys.readouterr().err
 
     def test_temperature_raises_leakage(self, capsys):
@@ -157,7 +157,7 @@ class TestSweepCommand:
 
     def test_bad_axis_is_reported(self, capsys):
         code = main(self.BASE + ["--axis", "frequency=1,2"])
-        assert code == 2
+        assert code == 1
         assert "unknown sweep axis" in capsys.readouterr().err
 
 
@@ -208,25 +208,25 @@ class TestWhatIfCommand:
 
     def test_no_edits_is_an_error(self, capsys):
         code = main(["whatif", "--base", "a" * 64])
-        assert code == 2
+        assert code == 1
         assert "at least one edit" in capsys.readouterr().err
 
     def test_malformed_edit_json_is_reported(self, capsys):
         code = main(["whatif", "--base", "a" * 64,
                      "--edit", "{not json"])
-        assert code == 2
+        assert code == 1
         assert "JSON" in capsys.readouterr().err
 
     def test_malformed_swap_is_reported(self, capsys):
         code = main(["whatif", "--base", "a" * 64,
                      "--swap", "INV_X1"])
-        assert code == 2
+        assert code == 1
         assert "FROM:TO" in capsys.readouterr().err
 
     def test_bad_base_hash_is_reported(self, capsys):
         code = main(["whatif", "--base", "not-a-hash",
                      "--swap", "INV_X1:NAND2_X1:0.1"])
-        assert code == 2
+        assert code == 1
         assert "base" in capsys.readouterr().err
 
     def test_table_output_with_stubbed_client(self, capsys, monkeypatch):
@@ -307,5 +307,58 @@ class TestIscas85Command:
         assert "160" in out
 
     def test_unknown_circuit(self, capsys):
-        assert main(["iscas85", "c9999"]) == 2
+        assert main(["iscas85", "c9999"]) == 1
         assert "unknown ISCAS85" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """0 on success, 1 on a user or configuration error, 2 on an
+    internal error."""
+
+    @staticmethod
+    def _stub_whatif(monkeypatch, error):
+        import repro.service.client as client_module
+
+        class StubRemote:
+            def __init__(self, url):
+                pass
+
+            def whatif(self, request, timeout=None):
+                raise error
+
+        monkeypatch.setattr(client_module, "RemoteClient", StubRemote)
+        return main(["whatif", "--base", "c" * 64,
+                     "--swap", "INV_X1:NAND2_X1"])
+
+    def test_configuration_error_exits_1(self, capsys):
+        code = main(["estimate", "--cells", "100", "--width-mm", "0.1",
+                     "--height-mm", "0.1", "--usage", "INV_X1:0.5"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_netlist_error_exits_1(self, capsys):
+        assert main(["iscas85", "c9999"]) == 1
+        assert "unknown ISCAS85" in capsys.readouterr().err
+
+    def test_unknown_base_exits_1(self, capsys, monkeypatch):
+        from repro.exceptions import UnknownBaseError
+
+        code = self._stub_whatif(monkeypatch,
+                                 UnknownBaseError("no such base"))
+        assert code == 1
+        assert "no such base" in capsys.readouterr().err
+
+    def test_other_library_error_exits_2(self, capsys, monkeypatch):
+        from repro.exceptions import EstimationError
+
+        code = self._stub_whatif(monkeypatch,
+                                 EstimationError("engine failed"))
+        assert code == 2
+        assert "error: engine failed" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_2_with_traceback(self, capsys,
+                                                         monkeypatch):
+        code = self._stub_whatif(monkeypatch, RuntimeError("bug"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: bug" in err
