@@ -67,14 +67,9 @@ def emit_json(name: str, payload: Dict[str, Any]) -> str:
 
     The file lands at the repository root so successive runs (one per
     PR) form a performance trajectory that is easy to diff. The payload
-    is augmented with the bench name, the current git revision, and the
-    active kernel backend (so trajectory points taken under
-    ``REPRO_BACKEND=numba`` are distinguishable from numpy runs).
+    is augmented with the bench name and the current git revision.
     """
-    from repro.backend import resolve_backend_name
-
-    record: Dict[str, Any] = {"bench": name, "git_rev": git_revision(),
-                              "backend": resolve_backend_name()}
+    record: Dict[str, Any] = {"bench": name, "git_rev": git_revision()}
     record.update(payload)
     path = os.path.join(REPO_ROOT, f"BENCH_{name}.json")
     with open(path, "w") as handle:

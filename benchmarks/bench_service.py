@@ -66,7 +66,7 @@ def _merged_emit(extra):
     if os.path.exists(path):
         with open(path) as handle:
             payload = json.load(handle)
-        for meta in ("bench", "git_rev", "backend"):
+        for meta in ("bench", "git_rev"):
             payload.pop(meta, None)
     payload.update(extra)
     emit_json(name, payload)

@@ -73,27 +73,6 @@ def _add_technology_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default: characterization temperature)")
 
 
-def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="kernel backend for the estimator hot paths "
-                             "(numpy or numba; default: REPRO_BACKEND env "
-                             "var, else numpy; see docs/PERFORMANCE.md)")
-    parser.add_argument("--kernel-threads", type=int, default=None,
-                        metavar="N",
-                        help="threads for compiled kernels (numba backend; "
-                             "0 or negative: one per CPU)")
-
-
-def _apply_backend_args(args) -> None:
-    """Install --backend/--kernel-threads as the process-wide default."""
-    from repro.backend import set_default_backend, set_threads
-
-    if getattr(args, "backend", None):
-        set_default_backend(args.backend)
-    if getattr(args, "kernel_threads", None) is not None:
-        set_threads(args.kernel_threads)
-
-
 def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", action="store_true",
                         help="profile the run and print the per-stage "
@@ -193,7 +172,6 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    _apply_backend_args(args)
     technology = _technology_from_args(args)
     library = build_library()
     if args.char:
@@ -322,7 +300,6 @@ def _cmd_serve(args) -> int:
     from repro.service.faults import FaultInjector, injector_from_env
     from repro.service.http import create_server
 
-    _apply_backend_args(args)
     if args.replicas > 1:
         return _serve_fleet(args)
     if args.faults:
@@ -345,8 +322,6 @@ def _cmd_serve(args) -> int:
           f"cache {'at ' + args.cache_dir if args.cache_dir else 'in memory'})")
     print("endpoints: POST /v1/estimate  GET /v1/jobs/<id>  "
           "GET /v1/healthz  GET /v1/readyz  GET /v1/metrics")
-    print(f"kernel backend {server.backend_name!r} warmed in "
-          f"{server.backend_warmup_seconds * 1e3:.1f} ms")
     if faults is not None:
         print(f"fault injection ACTIVE: {faults!r}")
 
@@ -476,8 +451,7 @@ def _cmd_submit(args) -> int:
         technology=_technology_config_from_args(args),
         priority=args.priority,
         allow_degraded=args.allow_degraded,
-        trace=_trace_requested(args),
-        backend=args.backend)
+        trace=_trace_requested(args))
     remote = RemoteClient(args.url)
 
     if getattr(args, "async_", False):
@@ -625,7 +599,6 @@ def _cmd_sweep(args) -> int:
 
     from repro.core.api import estimate_sweep
 
-    _apply_backend_args(args)
     technology = _technology_from_args(args)
     library = build_library()
     usage = _parse_usage(args.usage, library)
@@ -771,7 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
                          action="store_true",
                          help="evaluate at the uniform ambient without "
                               "feedback (reports diagnostics only)")
-    _add_backend_arguments(estimate)
     _add_trace_arguments(estimate)
     estimate.set_defaults(handler=_cmd_estimate)
 
@@ -797,7 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process fan-out across geometry groups")
     sweep.add_argument("--json", action="store_true",
                        help="print the raw sweep JSON")
-    _add_backend_arguments(sweep)
     _add_trace_arguments(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
 
@@ -860,7 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: REPRO_FAULTS env var, else off)")
     serve.add_argument("--faults-seed", type=int, default=0,
                        help="seed for the fault-injection RNG streams")
-    _add_backend_arguments(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     submit = commands.add_parser(
@@ -884,10 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--tolerance", type=float, default=0.0)
     submit.add_argument("--priority", type=int, default=0,
                         help="scheduling priority (higher runs first)")
-    submit.add_argument("--backend", default=None, metavar="NAME",
-                        help="kernel backend the server should run this "
-                             "request on (numpy or numba; the server "
-                             "falls back to numpy when unavailable)")
     submit.add_argument("--timeout", type=float, default=None,
                         help="per-job deadline [s]")
     submit.add_argument("--no-degraded", dest="allow_degraded",

@@ -216,14 +216,8 @@ class RGComponents:
         signal_probability: float = 0.5,
         simplified_correlation: Optional[bool] = None,
         state_weights=None,
-        backend=None,
     ) -> "RGComponents":
-        """Derive the RG bundle from a characterized library + usage.
-
-        ``backend`` names the kernel backend for the exact RG covariance
-        grid (the hot part of this stage); the built bundle itself is
-        backend-free and picklable.
-        """
+        """Derive the RG bundle from a characterized library + usage."""
         technology = characterization.technology
         signal_probability = float(signal_probability)
         with span("api.rg_build"):
@@ -236,7 +230,6 @@ class RGComponents:
                 mu_l=technology.length.nominal,
                 sigma_l=technology.length.sigma,
                 simplified=simplified_correlation,
-                backend=backend,
             )
             return cls(random_gate=random_gate,
                        rg_correlation=rg_correlation,
@@ -274,12 +267,6 @@ class FullChipLeakageEstimator:
         ``signal_probability`` / ``simplified_correlation`` /
         ``state_weights`` arguments must have produced it — and the
         mixture expansion is skipped entirely.
-    backend:
-        Default kernel backend (name or instance) for this estimator's
-        numeric hot paths; individual :meth:`estimate` calls may
-        override it. ``None`` defers to the process default
-        (``REPRO_BACKEND`` env var, else numpy). See
-        ``docs/PERFORMANCE.md``.
     """
 
     def __init__(
@@ -294,11 +281,9 @@ class FullChipLeakageEstimator:
         simplified_correlation: Optional[bool] = None,
         state_weights=None,
         components: Optional[RGComponents] = None,
-        backend=None,
     ) -> None:
         self.characterization = characterization
         self.usage = usage
-        self.backend = backend
         # Kept for stages that re-expand the mixture at solver-chosen
         # operating points (the thermal anchor characterizations).
         self.state_weights = state_weights
@@ -311,7 +296,7 @@ class FullChipLeakageEstimator:
             components = RGComponents.build(
                 characterization, usage, signal_probability,
                 simplified_correlation=simplified_correlation,
-                state_weights=state_weights, backend=backend)
+                state_weights=state_weights)
         self.components = components
         self.signal_probability = components.signal_probability
         self.random_gate = components.random_gate
@@ -320,7 +305,7 @@ class FullChipLeakageEstimator:
 
     def estimate(self, method: str = "auto", *, n_jobs: int = 1,
                  tolerance: float = 0.0, trace: bool = False,
-                 backend=None, thermal=None) -> LeakageEstimate:
+                 thermal=None) -> LeakageEstimate:
         """Estimate full-chip leakage mean and standard deviation.
 
         ``method`` is one of ``"auto"``, ``"linear"``, ``"integral2d"``,
@@ -341,13 +326,6 @@ class FullChipLeakageEstimator:
         site grid is a lattice, so the engine takes the FFT lag
         transform).
 
-        ``backend`` selects the kernel backend for this call (falling
-        back to the estimator-level default, then the process default).
-        Backend choice never changes *what* is computed — the numpy
-        backend is bit-identical to the historical inline code, and
-        compiled backends agree within the per-kernel parity contracts
-        of :data:`repro.backend.KERNELS`.
-
         ``trace=True`` profiles the run: the estimate's
         ``details["trace"]`` carries the span tree and per-stage wall
         times (``docs/OBSERVABILITY.md``). Numeric results are
@@ -360,39 +338,33 @@ class FullChipLeakageEstimator:
         a fixed point whose diagnostics land in ``details["thermal"]``
         (``docs/THERMAL.md``).
         """
-        from repro.backend import get_backend
-
-        kernels = get_backend(backend if backend is not None
-                              else self.backend)
         if thermal is not None:
             from repro.thermal import ThermalConfig, solve_coupled
 
             thermal = ThermalConfig.from_dict(thermal)
             if not trace:
-                return solve_coupled(self, method, thermal, kernels,
+                return solve_coupled(self, method, thermal,
                                      n_jobs=n_jobs, tolerance=tolerance)
             tracer = Tracer("core/api.estimate")
             with tracer:
                 with tracer.span("core/api.estimate", method=method,
-                                 backend=kernels.name, thermal=True):
+                                 thermal=True):
                     result = solve_coupled(self, method, thermal,
-                                           kernels, n_jobs=n_jobs,
+                                           n_jobs=n_jobs,
                                            tolerance=tolerance)
             return result.with_details(trace=tracer.export())
         if not trace:
             return self._estimate(method, n_jobs=n_jobs,
-                                  tolerance=tolerance, kernels=kernels)
+                                  tolerance=tolerance)
         tracer = Tracer("core/api.estimate")
         with tracer:
-            with tracer.span("core/api.estimate", method=method,
-                             backend=kernels.name):
+            with tracer.span("core/api.estimate", method=method):
                 result = self._estimate(method, n_jobs=n_jobs,
-                                        tolerance=tolerance,
-                                        kernels=kernels)
+                                        tolerance=tolerance)
         return result.with_details(trace=tracer.export())
 
-    def _estimate(self, method: str, *, n_jobs: int, tolerance: float,
-                  kernels=None) -> LeakageEstimate:
+    def _estimate(self, method: str, *, n_jobs: int,
+                  tolerance: float) -> LeakageEstimate:
         chip = self.chip
         requested = method
         if method == "auto":
@@ -402,8 +374,7 @@ class FullChipLeakageEstimator:
             if method == "linear":
                 site_variance = linear_variance(
                     chip.rows, chip.cols, chip.pitch_x, chip.pitch_y,
-                    self.correlation, self.rg_correlation,
-                    backend=kernels)
+                    self.correlation, self.rg_correlation)
             elif method == "integral2d":
                 site_variance = integral2d_variance(
                     chip.n_sites, chip.width, chip.height,
@@ -414,7 +385,7 @@ class FullChipLeakageEstimator:
                     self.correlation, self.rg_correlation)
             elif method == "exact":
                 site_variance = self._exact_site_variance(
-                    n_jobs=n_jobs, tolerance=tolerance, kernels=kernels)
+                    n_jobs=n_jobs, tolerance=tolerance)
             else:
                 raise EstimationError(
                     f"unknown method {method!r}; choose auto, linear, "
@@ -428,8 +399,7 @@ class FullChipLeakageEstimator:
         return self._package(method, site_variance, extra)
 
     def _exact_site_variance(self, n_jobs: int = 1,
-                             tolerance: float = 0.0,
-                             kernels=None) -> float:
+                             tolerance: float = 0.0) -> float:
         """Site-grid variance through the placed-design pairwise engine.
 
         Every site carries the Random Gate: the full RG sigma on the
@@ -463,7 +433,6 @@ class FullChipLeakageEstimator:
             grid=(chip.rows, chip.cols),
             n_jobs=n_jobs,
             tolerance=tolerance,
-            backend=kernels,
         )
         return site_std ** 2
 
@@ -518,7 +487,6 @@ def estimate_sweep(
     n_jobs: int = 1,
     tolerance: float = 0.0,
     trace: bool = False,
-    backend: Optional[str] = None,
     thermal=None,
 ):
     """Evaluate a grid of estimation scenarios with shared precomputation.
@@ -558,11 +526,6 @@ def estimate_sweep(
     ``SweepResult.trace``; every estimate stays bit-identical to the
     untraced run.
 
-    ``backend`` names the kernel backend every point (and every worker)
-    uses; with the numpy default and with any other backend the sweep
-    stays bit-identical to the corresponding single-point loop on that
-    same backend.
-
     ``thermal`` — a :class:`repro.thermal.ThermalConfig` — makes every
     point a self-consistent power–thermal solve at that base config;
     the ``ambient_temperature_axis`` / ``power_scale_axis`` factories
@@ -578,7 +541,7 @@ def estimate_sweep(
         correlation=correlation,
         simplified_correlation=simplified_correlation,
         state_weights=state_weights, n_jobs=n_jobs, tolerance=tolerance,
-        trace=trace, backend=backend, thermal=thermal)
+        trace=trace, thermal=thermal)
 
 
 # -- incremental (delta) estimation ----------------------------------------
@@ -595,7 +558,6 @@ def build_base(
     correlation: Optional[SpatialCorrelation] = None,
     simplified_correlation: Optional[bool] = None,
     state_weights=None,
-    backend=None,
 ):
     """Run a fresh linear-transform estimate and snapshot it as a
     :class:`~repro.delta.BaseEstimate` for incremental what-if edits.
@@ -613,7 +575,7 @@ def build_base(
         characterization, usage, n_cells, width, height,
         signal_probability=signal_probability, correlation=correlation,
         simplified_correlation=simplified_correlation,
-        state_weights=state_weights, backend=backend)
+        state_weights=state_weights)
 
 
 def estimate_delta(base, edits, *, trace: bool = False) -> LeakageEstimate:

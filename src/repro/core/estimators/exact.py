@@ -76,7 +76,6 @@ def exact_moments(
     n_jobs: int = 1,
     tolerance: float = 0.0,
     grid: Optional[Tuple[int, int]] = None,
-    backend=None,
 ) -> Tuple[float, float]:
     """``(mean, std)`` of a placed design's total leakage — eq. (15).
 
@@ -124,12 +123,6 @@ def exact_moments(
         Optional ``(rows, cols)`` site-lattice hint (e.g. from
         :class:`~repro.core.chip_model.FullChipModel`) enabling the lag
         transform without auto-detection.
-    backend:
-        Kernel backend (name or instance) for the lag-transform kernels
-        and reductions; resolved through
-        :func:`repro.backend.get_backend`. The dense and pruned block
-        loops are correlation-model generic and stay on numpy
-        regardless.
     """
     positions = np.asarray(positions, dtype=float)
     means = np.asarray(means, dtype=float)
@@ -174,7 +167,7 @@ def exact_moments(
     if method == "lagsum":
         variance = fast_exact.lagsum_variance(
             positions, means, stds, correlation, pair_params, corr_stds,
-            grid_info, tolerance, backend=backend)
+            grid_info, tolerance)
         return _finish(mean_total, variance)
     if method == "pruned":
         variance = fast_exact.pruned_variance(

@@ -40,7 +40,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.backend import get_backend, lattice_rho
 from repro.exceptions import CorrelationError, EstimationError
 from repro.obs import span
 from repro.parallel import parallel_map, resolve_n_jobs
@@ -437,15 +436,14 @@ def pruned_variance(
 # Lag deduplication on a site lattice
 # ---------------------------------------------------------------------------
 
-def _lag_correlation(grid: GridInfo, correlation: SpatialCorrelation,
-                     backend=None) -> np.ndarray:
+def _lag_correlation(grid: GridInfo,
+                     correlation: SpatialCorrelation) -> np.ndarray:
     """``rho`` at every lattice lag vector; shape
     ``(2*rows - 1, 2*cols - 1)`` indexed ``[rows-1+di, cols-1+dj]``."""
     with span("exact.lag_kernel", rows=grid.rows, cols=grid.cols):
         dj = np.arange(-(grid.cols - 1), grid.cols) * grid.pitch_x
         di = np.arange(-(grid.rows - 1), grid.rows) * grid.pitch_y
-        return lattice_rho(get_backend(backend), correlation, dj, di,
-                           dx_axis=1)
+        return correlation.evaluate_xy(dj[None, :], di[:, None])
 
 
 def _lag_crosscorr(spectrum_a: np.ndarray, spectrum_b: np.ndarray,
@@ -470,7 +468,6 @@ def lagsum_variance(
     corr_stds: np.ndarray,
     grid: GridInfo,
     tolerance: float = 0.0,
-    backend=None,
 ) -> float:
     """Exact lag-deduplicated variance on a site lattice.
 
@@ -483,9 +480,8 @@ def lagsum_variance(
     ``tolerance`` additionally truncates lags where the decaying
     correlation part is below it (the floor part still sums exactly).
     """
-    kernels = get_backend(backend)
     rows, cols = grid.rows, grid.cols
-    rho = _lag_correlation(grid, correlation, kernels)
+    rho = _lag_correlation(grid, correlation)
     shape = (2 * rows, 2 * cols)
 
     if pair_params is None:
@@ -497,7 +493,7 @@ def lagsum_variance(
             spectrum = np.fft.rfft2(sigma_grid, s=shape)
             auto = _lag_crosscorr(spectrum, spectrum, rows, cols)
         with span("exact.reduce"):
-            variance = kernels.weighted_sum(auto, rho)
+            variance = float((auto * rho).sum())
             variance += float((stds ** 2).sum() - (corr_stds ** 2).sum())
             return variance
 
@@ -534,15 +530,15 @@ def lagsum_variance(
                 if active is None:
                     cross = _pair_cross_moment(at, ht, kt, au, hu, ku,
                                                rho)
-                    variance += weight * kernels.weighted_sum(
-                        multiplicity, cross)
+                    variance += weight * float(
+                        (multiplicity * cross).sum())
                 else:
                     cross_floor = float(_pair_cross_moment(
                         at, ht, kt, au, hu, ku, floor))
                     cross = _pair_cross_moment(at, ht, kt, au, hu, ku,
                                                rho[active])
-                    near = kernels.weighted_sum(multiplicity[active],
-                                                cross - cross_floor)
+                    near = float((multiplicity[active]
+                                  * (cross - cross_floor)).sum())
                     variance += weight * (near + counts[t] * counts[u]
                                           * cross_floor)
         return variance - float(means.sum()) ** 2

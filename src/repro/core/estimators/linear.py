@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import get_backend, lattice_rho
 from repro.core.rg_correlation import RGCorrelation
 from repro.exceptions import EstimationError
 from repro.obs import span
@@ -77,39 +76,37 @@ class LagGeometry:
         """Number of distinct lag vectors, ``(2m-1)(2k-1)``."""
         return self.counts.size
 
-    def rho(self, correlation: SpatialCorrelation,
-            backend=None) -> np.ndarray:
+    def rho(self, correlation: SpatialCorrelation) -> np.ndarray:
         """``rho_L`` at every lag — the correlation half of eq. (17).
 
-        Recognised exponential/Gaussian families evaluate through the
-        kernel backend; other models go through ``evaluate_xy``, which
-        keeps anisotropic correlation models exact.
+        The x lags vary along axis 0 and the y lags along axis 1, so
+        anisotropic correlation models stay exact.
         """
         with span("linear.kernel", n_lags=self.n_lags):
-            return lattice_rho(get_backend(backend), correlation,
-                               self.x, self.y)
+            return correlation.evaluate_xy(self.x[:, None],
+                                           self.y[None, :])
 
     def variance_from_rho(self, rho: np.ndarray,
-                          rg_correlation: RGCorrelation,
-                          backend=None) -> float:
+                          rg_correlation: RGCorrelation) -> float:
         """Complete eq. (17) from a (possibly cached) lag correlation.
 
         ``rho`` is never mutated (the covariance mapping allocates), so
         one cached array may serve many RG correlation models. The
-        mapping + weighted reduction run in the kernel backend's fused
-        ``lag_reduce``; the zero-lag entry is the n self-pairs and gets
-        the full RG variance (eq. 11).
+        zero-lag entry is the n self-pairs and gets the full RG
+        variance (eq. 11).
         """
         rho = np.asarray(rho, dtype=float)
         if np.any(np.abs(rho) > 1.0 + 1e-12):
             raise EstimationError("length correlation must lie in [-1, 1]")
         with span("linear.reduce"):
-            return float(get_backend(backend).lag_reduce(
-                self.counts, rho, self.zero_lag,
-                rg_correlation.same_site_covariance,
-                rg_correlation.covariance_scale,
-                rg_correlation.covariance_grid,
-                rg_correlation.covariance_values))
+            scale = rg_correlation.covariance_scale
+            if scale is not None:
+                cov = scale * rho
+            else:
+                cov = np.interp(rho, rg_correlation.covariance_grid,
+                                rg_correlation.covariance_values)
+            cov[self.zero_lag] = rg_correlation.same_site_covariance
+            return float(np.sum(self.counts * cov))
 
 
 def linear_variance(
@@ -119,7 +116,6 @@ def linear_variance(
     pitch_y: float,
     correlation: SpatialCorrelation,
     rg_correlation: RGCorrelation,
-    backend=None,
 ) -> float:
     """Total-leakage variance of the ``rows x cols`` RG array — eq. (17).
 
@@ -133,11 +129,7 @@ def linear_variance(
         Total channel-length correlation function.
     rg_correlation:
         The RG covariance structure.
-    backend:
-        Kernel backend (name or instance) for the lag kernel and the
-        reduction; resolved through :func:`repro.backend.get_backend`.
     """
-    backend = get_backend(backend)
     geometry = LagGeometry(rows, cols, pitch_x, pitch_y)
-    return geometry.variance_from_rho(geometry.rho(correlation, backend),
-                                      rg_correlation, backend)
+    return geometry.variance_from_rho(geometry.rho(correlation),
+                                      rg_correlation)

@@ -32,6 +32,79 @@ import numpy as np
 from repro.core.random_gate import RandomGate
 from repro.exceptions import EstimationError, MomentExistenceError
 
+#: Bound on ``chunk * q * q`` elements per batched covariance-grid
+#: buffer (256 KiB of float64, three buffers), so the working set stays
+#: in cache and peak memory flat no matter how fine the rho grid or how
+#: large the mixture.
+_GRID_CHUNK_ELEMENTS = 1 << 15
+
+
+def rg_covariance_grid(alphas: np.ndarray, a: np.ndarray, h: np.ndarray,
+                       k: np.ndarray, grid: np.ndarray,
+                       mean_total: float) -> np.ndarray:
+    """RG covariance ``C_XI(rho_L)`` on a grid of ``rho_L`` values.
+
+    For each grid point ``rho``: the alpha-weighted sum of the
+    closed-form pairwise cross moments of all mixture-component pairs,
+    minus ``mean_total**2`` (eqs. 9-10 through the standardized
+    ``(a, h, k)`` parameters). Raises
+    :class:`~repro.exceptions.MomentExistenceError` when any pair's
+    cross moment does not exist at some grid point.
+
+    The grid is evaluated in batched chunks instead of one python-loop
+    iteration per point. That is bit-identical to the per-point loop:
+    every operation stays elementwise over the same operand values, and
+    the final ``alphas @ cross @ alphas`` contraction still runs per
+    grid point on a contiguous ``(q, q)`` slice.
+    """
+    # Pairwise building blocks, computed once (q x q each) — exactly
+    # the precomputation the historical loop hoisted.
+    one = 1.0 - 2.0 * a
+    d0 = np.outer(one, one)
+    aa = np.outer(a, a)
+    h_sq = h * h
+    p0 = h_sq[:, None] * one[None, :] + h_sq[None, :] * one[:, None]
+    p2 = 2.0 * (h_sq[:, None] * a[None, :] + h_sq[None, :] * a[:, None])
+    p1 = 2.0 * np.outer(h, h)
+    k_sum = k[:, None] + k[None, :]
+
+    q = alphas.shape[0]
+    values = np.empty_like(grid)
+    chunk = max(1, _GRID_CHUNK_ELEMENTS // max(1, q * q))
+    buffers = np.empty((3, min(chunk, grid.shape[0]), q, q))
+    for start in range(0, grid.shape[0], chunk):
+        rho = grid[start:start + chunk]
+        n = rho.shape[0]
+        det, quad, term = buffers[:, :n]
+        # (4*rho)*rho == 4*(rho*rho) exactly: scaling by a power of
+        # two commutes with IEEE rounding, so the batched form below
+        # matches the historical per-scalar "4.0 * rho * rho * aa".
+        rho_sq = rho * rho
+        np.multiply((4.0 * rho_sq)[:, None, None], aa, out=det)
+        np.subtract(d0, det, out=det)
+        exists = det > 0
+        if not exists.all():
+            bad = int(np.argmin(exists.all(axis=(1, 2))))
+            raise MomentExistenceError(
+                "pairwise cross moment does not exist at "
+                f"rho_L = {grid[start + bad]:.3f}")
+        # quad = (p0 + rho*p1 + rho^2*p2) / det, then
+        # cross = det**-0.5 * exp(k_sum + 0.5*quad), in place.
+        np.multiply(rho[:, None, None], p1, out=quad)
+        np.add(p0, quad, out=quad)
+        np.multiply(rho_sq[:, None, None], p2, out=term)
+        np.add(quad, term, out=quad)
+        np.divide(quad, det, out=quad)
+        np.multiply(0.5, quad, out=quad)
+        np.add(k_sum, quad, out=quad)
+        np.exp(quad, out=quad)
+        np.power(det, -0.5, out=det)
+        cross = np.multiply(det, quad, out=quad)
+        for offset in range(n):
+            values[start + offset] = float(
+                alphas @ cross[offset] @ alphas) - mean_total ** 2
+    return values
+
 
 class RGCorrelation:
     """Distance-free RG covariance as a function of length correlation.
@@ -47,16 +120,10 @@ class RGCorrelation:
         exact when fits are available, simplified otherwise.
     n_grid:
         Grid resolution for the precomputed exact mapping on [-1, 1].
-    backend:
-        Kernel backend (name or instance) used to build the exact grid;
-        resolved through :func:`repro.backend.get_backend`. The backend
-        is only used during construction — the built object holds no
-        reference to it, so instances stay picklable.
     """
 
     def __init__(self, random_gate: RandomGate, mu_l: float, sigma_l: float,
-                 simplified: Optional[bool] = None, n_grid: int = 65,
-                 backend=None) -> None:
+                 simplified: Optional[bool] = None, n_grid: int = 65) -> None:
         mixture = random_gate.mixture
         if simplified is None:
             simplified = not mixture.has_fits
@@ -75,7 +142,7 @@ class RGCorrelation:
         else:
             self._grid = np.linspace(-1.0, 1.0, n_grid)
             self._values = self._exact_covariance_grid(
-                mixture, mu_l, sigma_l, self._grid, backend=backend)
+                mixture, mu_l, sigma_l, self._grid)
             self._scale = None
 
     @classmethod
@@ -86,8 +153,8 @@ class RGCorrelation:
         ``grid``/``values`` must be the exact mapping for this random
         gate's mixture (e.g. produced by a cached
         :class:`repro.delta.moments.CrossMomentTable` contraction,
-        which is bit-identical to a fresh backend build). Skips the
-        O(grid x q^2) moment pass entirely.
+        which is bit-identical to a fresh :func:`rg_covariance_grid`
+        build). Skips the O(grid x q^2) moment pass entirely.
         """
         instance = cls.__new__(cls)
         instance.random_gate = random_gate
@@ -100,9 +167,7 @@ class RGCorrelation:
 
     @staticmethod
     def _exact_covariance_grid(mixture, mu_l: float, sigma_l: float,
-                               grid: np.ndarray, backend=None) -> np.ndarray:
-        from repro.backend import get_backend
-
+                               grid: np.ndarray) -> np.ndarray:
         alphas = mixture.alphas
         a = np.array([fit.c for fit in mixture.fits]) * sigma_l ** 2
         if np.any(1.0 - 2.0 * a <= 0):
@@ -114,15 +179,14 @@ class RGCorrelation:
         k = np.array([math.log(fit.a) + fit.b * mu_l + fit.c * mu_l ** 2
                       for fit in mixture.fits])
         mean_total = float(alphas @ mixture.means)
-        return get_backend(backend).rg_covariance_grid(
-            alphas, a, h, k, grid, mean_total)
+        return rg_covariance_grid(alphas, a, h, k, grid, mean_total)
 
     @property
     def covariance_scale(self) -> Optional[float]:
         """Simplified-mode slope ``(sum_i alpha_i sigma_i)^2``, or
         ``None`` in exact mode. With :attr:`covariance_grid` /
         :attr:`covariance_values` this exposes the covariance mapping in
-        the exact representation kernel backends consume."""
+        the exact representation the lag reductions consume."""
         return self._scale
 
     @property

@@ -338,9 +338,6 @@ class _SweepSpec:
     simplified_correlation: Optional[bool]
     state_weights: Any
     tolerance: float
-    # Kernel-backend *name* (never an instance): the spec crosses
-    # process boundaries via pickle, so each worker re-resolves it.
-    backend: Optional[str] = None
 
 
 def _correlation_key(correlation: SpatialCorrelation) -> Tuple[Any, ...]:
@@ -384,9 +381,8 @@ def _usage_key(usage: CellUsage) -> Tuple[Any, ...]:
 def _batched_lag_rho(geometry: LagGeometry,
                      correlations: Mapping[Tuple[Any, ...],
                                            SpatialCorrelation],
-                     stats: Dict[str, int],
-                     backend=None) -> Dict[Tuple[Any, ...],
-                                           np.ndarray]:
+                     stats: Dict[str, int]) -> Dict[Tuple[Any, ...],
+                                                    np.ndarray]:
     """``rho_L`` at the lags for every distinct kernel, family-batched.
 
     Shares the axis-invariant part of the evaluation across the whole
@@ -395,26 +391,11 @@ def _batched_lag_rho(geometry: LagGeometry,
     families — and applies each point's parameters elementwise. Each
     batched expression reproduces the corresponding ``evaluate_xy``
     verbatim on identical operand values, so every returned array is
-    bit-identical to ``geometry.rho(correlation)`` on the numpy backend.
-
-    On a non-numpy backend the distance-grid sharing is skipped: each
-    distinct kernel evaluates through ``geometry.rho(corr, backend)``,
-    keeping the sweep bit-identical to that backend's single-point loop
-    (and letting the compiled kernel do the heavy lifting).
+    bit-identical to ``geometry.rho(correlation)``.
     """
-    from repro.backend import get_backend
-
-    kernels = get_backend(backend)
     out: Dict[Tuple[Any, ...], np.ndarray] = {}
     items = list(correlations.items())
     kinds = {type(c) for _, c in items}
-
-    if kernels.name != "numpy":
-        for key, corr in items:
-            out[key] = geometry.rho(corr, kernels)
-            stats["rho_kernel_evaluations"] = \
-                stats.get("rho_kernel_evaluations", 0) + 1
-        return out
 
     if kinds == {TotalCorrelation}:
         # rho = floor + (1 - floor) * wid_rho: evaluate each distinct WID
@@ -424,7 +405,7 @@ def _batched_lag_rho(geometry: LagGeometry,
         wids: Dict[Tuple[Any, ...], SpatialCorrelation] = {}
         for _, corr in items:
             wids.setdefault(_correlation_key(corr.wid), corr.wid)
-        wid_rhos = _batched_lag_rho(geometry, wids, stats, kernels)
+        wid_rhos = _batched_lag_rho(geometry, wids, stats)
         for key, corr in items:
             wid_rho = wid_rhos[_correlation_key(corr.wid)]
             out[key] = corr.rho_floor + (1.0 - corr.rho_floor) * wid_rho
@@ -445,7 +426,7 @@ def _batched_lag_rho(geometry: LagGeometry,
         return out
 
     for key, corr in items:
-        out[key] = geometry.rho(corr, kernels)
+        out[key] = geometry.rho(corr)
         stats["rho_kernel_evaluations"] = \
             stats.get("rho_kernel_evaluations", 0) + 1
     return out
@@ -481,7 +462,7 @@ def _resolve_config(config: Mapping[str, Any]) -> Tuple[Any, ...]:
 
 
 def _build_components(spec: "_SweepSpec", characterization, usage, p,
-                      kernels, cross_tables: Dict[Tuple[Any, ...], Any],
+                      cross_tables: Dict[Tuple[Any, ...], Any],
                       stats: Dict[str, int]) -> RGComponents:
     """RGComponents for a point, reusing the delta engine's cross-moment
     table when points differ only in usage weights.
@@ -492,61 +473,61 @@ def _build_components(spec: "_SweepSpec", characterization, usage, p,
     same (cell, state) labels — the usual usage-axis shape), the tensor
     is cached (:class:`repro.delta.moments.CrossMomentTable`) and later
     points pay only the O(grid x q) contraction instead of the
-    O(grid x q^2) moment build. The contraction replicates the numpy
-    backend's terminal ops verbatim, so reused points stay
-    **bit-identical** to a fresh ``RGComponents.build`` (asserted in
-    ``tests/delta/test_sweep_reuse.py``); non-numpy backends and
-    simplified-mode mixtures take the normal path unconditionally.
+    O(grid x q^2) moment build. The contraction replicates the terminal
+    ops of :func:`repro.core.rg_correlation.rg_covariance_grid`
+    verbatim, so reused points stay **bit-identical** to a fresh
+    ``RGComponents.build`` (asserted in
+    ``tests/delta/test_sweep_reuse.py``); simplified-mode mixtures take
+    the normal path unconditionally.
     """
-    if kernels.name == "numpy":
-        from repro.characterization.vt import vt_mean_multiplier
-        from repro.core.random_gate import RandomGate, expand_mixture
-        from repro.core.rg_correlation import RGCorrelation
-        from repro.delta.moments import CrossMomentTable
+    from repro.characterization.vt import vt_mean_multiplier
+    from repro.core.random_gate import RandomGate, expand_mixture
+    from repro.core.rg_correlation import RGCorrelation
+    from repro.delta.moments import CrossMomentTable
 
-        mixture = expand_mixture(characterization, usage, p,
-                                 state_weights=spec.state_weights)
-        simplified = spec.simplified_correlation
-        if simplified is None:
-            simplified = not mixture.has_fits
-        if not simplified and mixture.has_fits:
-            technology = characterization.technology
-            key = (id(characterization), mixture.labels)
-            table = cross_tables.get(key)
-            if table is None:
-                # First sighting of this component set: remember it and
-                # take the normal path — a table only pays off when a
-                # second usage shows up over the same components.
-                cross_tables[key] = 1
-            elif isinstance(table, CrossMomentTable) or table == 1:
-                if table == 1:
-                    table = CrossMomentTable.build(
-                        mixture.fits, technology.length.nominal,
-                        technology.length.sigma,
-                        np.linspace(-1.0, 1.0, 65))
-                    if table is None:  # over the memory bound
-                        cross_tables[key] = 0
-                    else:
-                        cross_tables[key] = table
-                        stats["cross_tables"] = \
-                            stats.get("cross_tables", 0) + 1
-                if isinstance(table, CrossMomentTable):
-                    random_gate = RandomGate(mixture)
-                    values = table.contract(
-                        mixture.alphas, float(mixture.alphas
-                                              @ mixture.means))
-                    stats["delta_rg_reuses"] = \
-                        stats.get("delta_rg_reuses", 0) + 1
-                    return RGComponents(
-                        random_gate=random_gate,
-                        rg_correlation=RGCorrelation.from_values(
-                            random_gate, table.grid, values),
-                        vt_multiplier=vt_mean_multiplier(technology),
-                        signal_probability=float(p))
+    mixture = expand_mixture(characterization, usage, p,
+                             state_weights=spec.state_weights)
+    simplified = spec.simplified_correlation
+    if simplified is None:
+        simplified = not mixture.has_fits
+    if not simplified and mixture.has_fits:
+        technology = characterization.technology
+        key = (id(characterization), mixture.labels)
+        table = cross_tables.get(key)
+        if table is None:
+            # First sighting of this component set: remember it and
+            # take the normal path — a table only pays off when a
+            # second usage shows up over the same components.
+            cross_tables[key] = 1
+        elif isinstance(table, CrossMomentTable) or table == 1:
+            if table == 1:
+                table = CrossMomentTable.build(
+                    mixture.fits, technology.length.nominal,
+                    technology.length.sigma,
+                    np.linspace(-1.0, 1.0, 65))
+                if table is None:  # over the memory bound
+                    cross_tables[key] = 0
+                else:
+                    cross_tables[key] = table
+                    stats["cross_tables"] = \
+                        stats.get("cross_tables", 0) + 1
+            if isinstance(table, CrossMomentTable):
+                random_gate = RandomGate(mixture)
+                values = table.contract(
+                    mixture.alphas, float(mixture.alphas
+                                          @ mixture.means))
+                stats["delta_rg_reuses"] = \
+                    stats.get("delta_rg_reuses", 0) + 1
+                return RGComponents(
+                    random_gate=random_gate,
+                    rg_correlation=RGCorrelation.from_values(
+                        random_gate, table.grid, values),
+                    vt_multiplier=vt_mean_multiplier(technology),
+                    signal_probability=float(p))
     return RGComponents.build(
         characterization, usage, p,
         simplified_correlation=spec.simplified_correlation,
-        state_weights=spec.state_weights, backend=kernels)
+        state_weights=spec.state_weights)
 
 
 def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
@@ -559,9 +540,6 @@ def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
     geometry-only and parameter-only stages computed once per distinct
     value instead of once per point.
     """
-    from repro.backend import get_backend
-
-    kernels = get_backend(spec.backend)
     stats: Dict[str, int] = {"points": len(indices)}
     chip_cache: Dict[Tuple[Any, ...], FullChipModel] = {}
     geometry_cache: Dict[Tuple[Any, ...], LagGeometry] = {}
@@ -602,8 +580,7 @@ def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
             geometry = LagGeometry(*geometry_key)
             geometry_cache[geometry_key] = geometry
             for corr_key, rho in _batched_lag_rho(geometry, correlations,
-                                                  stats,
-                                                  kernels).items():
+                                                  stats).items():
                 rho_cache[(geometry_key, corr_key)] = rho
 
     estimates: List[LeakageEstimate] = []
@@ -618,7 +595,7 @@ def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
             if components is None:
                 with span("sweep.rg"):
                     components = _build_components(
-                        spec, characterization, usage, p, kernels,
+                        spec, characterization, usage, p,
                         cross_tables, stats)
                 components_cache[components_key] = components
                 stats["rg_builds"] = stats.get("rg_builds", 0) + 1
@@ -626,8 +603,7 @@ def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
                 characterization, usage, n_cells, width, height,
                 signal_probability=p, correlation=correlation,
                 simplified_correlation=spec.simplified_correlation,
-                state_weights=spec.state_weights, components=components,
-                backend=spec.backend)
+                state_weights=spec.state_weights, components=components)
             if thermal is not None:
                 # Coupled points run the full estimate() path verbatim
                 # (the fixed point is point-specific by construction);
@@ -636,7 +612,7 @@ def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
                 # cache.
                 estimates.append(estimator.estimate(
                     spec.method, tolerance=spec.tolerance,
-                    backend=kernels, thermal=thermal))
+                    thermal=thermal))
                 stats["thermal_points"] = \
                     stats.get("thermal_points", 0) + 1
                 continue
@@ -647,7 +623,7 @@ def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
                 rho = rho_cache[(geometry_key,
                                  _correlation_key(correlation))]
                 site_variance = geometry.variance_from_rho(
-                    rho, estimator.rg_correlation, kernels)
+                    rho, estimator.rg_correlation)
                 # Same packaging as estimate(): details carry the
                 # concrete method plus what was requested before "auto"
                 # resolution.
@@ -656,8 +632,7 @@ def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
                     {"requested_method": spec.method}))
             else:
                 estimates.append(estimator.estimate(
-                    spec.method, tolerance=spec.tolerance,
-                    backend=kernels))
+                    spec.method, tolerance=spec.tolerance))
     stats["geometries"] = len(geometry_cache)
     stats["chip_models"] = len(chip_cache)
     return estimates, stats
@@ -686,7 +661,6 @@ def run_sweep(
     n_jobs: int = 1,
     tolerance: float = 0.0,
     trace: bool = False,
-    backend: Optional[str] = None,
     thermal=None,
 ) -> SweepResult:
     """Evaluate the full cartesian grid of the given axes.
@@ -733,21 +707,16 @@ def run_sweep(
             config.update(override)
         configs.append(config)
 
-    from repro.backend import resolve_backend_name
-
     spec = _SweepSpec(configs=tuple(configs), method=method,
                       simplified_correlation=simplified_correlation,
                       state_weights=state_weights,
-                      tolerance=float(tolerance),
-                      backend=(None if backend is None
-                               else str(backend)))
+                      tolerance=float(tolerance))
 
     tracer = Tracer("core/api.estimate_sweep") if trace else None
     if tracer is not None:
         with tracer:
             with tracer.span("core/api.estimate_sweep",
-                             n_points=len(configs),
-                             backend=resolve_backend_name(spec.backend)):
+                             n_points=len(configs)):
                 estimates, stats = _execute_grid(spec, configs, n_jobs)
         trace_document = tracer.export()
     else:

@@ -117,7 +117,6 @@ class BaseEstimate:
     s_rho: Optional[float] = None
     characterization: Any = None
     correlation: Any = None
-    backend_name: str = "numpy"
     extra: Dict[str, Any] = field(default_factory=dict)
 
     # -- derived scalars ---------------------------------------------------
@@ -148,7 +147,7 @@ class BaseEstimate:
     def build(cls, characterization, usage, n_cells: int, width: float,
               height: float, *, signal_probability: float = 0.5,
               correlation=None, simplified_correlation: Optional[bool] = None,
-              state_weights=None, backend=None,
+              state_weights=None,
               components=None) -> "BaseEstimate":
         """Run a fresh estimate and snapshot it as a base artifact.
 
@@ -161,8 +160,7 @@ class BaseEstimate:
             signal_probability=signal_probability,
             correlation=correlation,
             simplified_correlation=simplified_correlation,
-            state_weights=state_weights, backend=backend,
-            components=components)
+            state_weights=state_weights, components=components)
         return cls.from_estimator(estimator, state_weights=state_weights)
 
     @classmethod
@@ -171,15 +169,12 @@ class BaseEstimate:
                        state_weights=None) -> "BaseEstimate":
         """Snapshot an estimator (running ``estimate("linear")`` if no
         fresh estimate is supplied)."""
-        from repro.backend import get_backend
-
         chip = estimator.chip
         if resolve_auto_method(chip.n_sites) != "linear":
             raise DeltaIncompatibleError(
                 f"delta estimation rides the eq. (17) lag transform, "
                 f"which auto-mode reserves for grids up to 250,000 "
                 f"sites; this chip has {chip.n_sites}")
-        kernels = get_backend(estimator.backend)
         with span("delta.base_estimate"):
             if estimate is None:
                 estimate = estimator.estimate("linear")
@@ -215,7 +210,7 @@ class BaseEstimate:
         with span("delta.base_geometry"):
             geometry = LagGeometry(chip.rows, chip.cols, chip.pitch_x,
                                    chip.pitch_y)
-            rho = geometry.rho(estimator.correlation, kernels)
+            rho = geometry.rho(estimator.correlation)
             if simplified:
                 w, s_rho = None, _rho_sum(rho, geometry.counts,
                                           geometry.zero_lag)
@@ -234,7 +229,7 @@ class BaseEstimate:
             fits=fits, cell_index=cell_index, cell_probs=cell_probs,
             rho=rho, grid=grid, a=a, h=h, k=k, vq=vq, u=u, w=w,
             s_rho=s_rho, characterization=estimator.characterization,
-            correlation=estimator.correlation, backend_name=kernels.name)
+            correlation=estimator.correlation)
 
     # -- export / import ---------------------------------------------------
 
@@ -272,7 +267,6 @@ class BaseEstimate:
             "u": listify(self.u),
             "w": listify(self.w),
             "s_rho": self.s_rho,
-            "backend": self.backend_name,
         }
 
     @classmethod
@@ -339,7 +333,6 @@ class BaseEstimate:
                        else float(document["s_rho"])),
                 characterization=characterization,
                 correlation=correlation,
-                backend_name=str(document.get("backend", "numpy")),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise EstimationError(

@@ -157,8 +157,6 @@ def _geometry_ledger(base: BaseEstimate, chip: FullChipModel,
     pure function of lag coordinates); otherwise re-evaluates the
     kernel, which needs the base's live correlation reference.
     """
-    from repro.backend import get_backend
-
     geometry = LagGeometry(chip.rows, chip.cols, chip.pitch_x, chip.pitch_y)
     base_chip = base.chip
     same_pitch = (chip.pitch_x == base_chip.pitch_x
@@ -182,7 +180,7 @@ def _geometry_ledger(base: BaseEstimate, chip: FullChipModel,
                 "floorplan edit changes the site pitch and the base has "
                 "no correlation model attached to re-evaluate the "
                 "kernel")
-        rho = geometry.rho(base.correlation, get_backend(base.backend_name))
+        rho = geometry.rho(base.correlation)
         ledger["lags_reused"] = 0
         ledger["lags_recomputed"] = int(rho.size)
     if base.simplified:

@@ -15,7 +15,7 @@ module computes exploits that split:
   :meth:`RGCorrelation._exact_covariance_grid` performs);
 * :func:`cross_block` — an arbitrary ``rows x cols`` sub-block of
   ``M_g`` over the whole grid, element-for-element identical to the
-  entries the numpy backend's :meth:`rg_covariance_grid` builds
+  entries :func:`~repro.core.rg_correlation.rg_covariance_grid` builds
   internally (same expression forms, so IEEE results match bit for
   bit);
 * :func:`quadratic_products` — the one-pass chunked contraction
@@ -24,7 +24,7 @@ module computes exploits that split:
   a``, ``U_g = M_g a``, and optional line coefficients ``b_g = d^T M_g
   a`` / ``c_g = d^T M_g d`` for a probe direction ``d``;
 * :class:`CrossMomentTable` — a cached full ``(G, q, q)`` tensor whose
-  :meth:`contract` re-runs the backend's final ``alphas @ cross[g] @
+  :meth:`contract` re-runs the grid build's final ``alphas @ cross[g] @
   alphas - mu_tot**2`` contraction verbatim, making usage-only rebuilds
   of the covariance grid **bit-identical** to a fresh
   ``rg_covariance_grid`` call.
@@ -59,8 +59,8 @@ def component_params(fits, mu_l: float,
     """Per-component ``(a, h, k)`` from the fitted ``(a, b, c)`` triplets.
 
     Exactly the reduction ``RGCorrelation._exact_covariance_grid``
-    performs before handing off to the backend kernel, so cross-moment
-    entries built from these parameters match the backend's bit for bit.
+    performs before handing off to ``rg_covariance_grid``, so cross-moment
+    entries built from these parameters match the grid's bit for bit.
     """
     a = np.array([fit.c for fit in fits]) * sigma_l ** 2
     if np.any(1.0 - 2.0 * a <= 0):
@@ -76,10 +76,10 @@ def component_params(fits, mu_l: float,
 def _pair_blocks(a_r, h_r, k_r, a_c, h_c, k_c):
     """The rho-independent pairwise building blocks for a sub-block.
 
-    Mirrors the hoisted precomputation in the numpy backend's
-    ``rg_covariance_grid`` restricted to ``rows x cols`` index subsets;
-    every entry equals the corresponding full-matrix entry exactly
-    (elementwise expressions only).
+    Mirrors the hoisted precomputation in
+    :func:`~repro.core.rg_correlation.rg_covariance_grid` restricted to
+    ``rows x cols`` index subsets; every entry equals the corresponding
+    full-matrix entry exactly (elementwise expressions only).
     """
     one_r = 1.0 - 2.0 * a_r
     one_c = 1.0 - 2.0 * a_c
@@ -105,7 +105,7 @@ def cross_block(a: np.ndarray, h: np.ndarray, k: np.ndarray,
     """``M_g[rows, cols]`` for every grid point — shape ``(G, R, C)``.
 
     Entries are bit-identical to the corresponding entries of the full
-    cross-moment matrices the numpy backend builds: the expression
+    cross-moment matrices ``rg_covariance_grid`` builds: the expression
     forms (including the ``(4*rho_sq) * aa`` association) are copied
     verbatim, and all operations are elementwise.
     """
@@ -142,7 +142,7 @@ def quadratic_products(a: np.ndarray, h: np.ndarray, k: np.ndarray,
     ``U_g = M_g alphas`` (``None`` when ``want_u`` is false), and — when
     a probe ``direction`` ``d`` is given — ``b_g = d^T M_g alphas`` and
     ``c_g = d^T M_g d`` (else ``None``). One pass costs the same as a
-    backend covariance-grid build; every later edit or probe then works
+    covariance-grid build; every later edit or probe then works
     from these ``O(G q)`` summaries without touching ``M`` again.
     """
     q = alphas.shape[0]
@@ -185,7 +185,7 @@ class CrossMomentTable:
 
     Holds the ``(G, q, q)`` tensor ``cross[g] = M_g`` for one component
     set (one label tuple + process point + grid). :meth:`contract`
-    reproduces the numpy backend's terminal contraction — ``float(alphas
+    reproduces ``rg_covariance_grid``'s terminal contraction — ``float(alphas
     @ cross[g] @ alphas) - mean_total**2`` per grid point, on a C-order
     contiguous ``(q, q)`` slice — so for any mixture weights over the
     *same* components the produced covariance values are bit-identical
@@ -218,7 +218,7 @@ class CrossMomentTable:
 
     def contract(self, alphas: np.ndarray, mean_total: float) -> np.ndarray:
         """Covariance values for mixture ``alphas`` — bit-identical to a
-        fresh backend build over the same components."""
+        fresh ``rg_covariance_grid`` build over the same components."""
         values = np.empty_like(self.grid)
         for g in range(self.grid.shape[0]):
             values[g] = float(alphas @ self.cross[g] @ alphas) \

@@ -85,7 +85,7 @@ class CirculantFieldSampler:
 
     def __init__(self, rows: int, cols: int, pitch_x: float, pitch_y: float,
                  correlation: SpatialCorrelation,
-                 clip_tolerance: float = 1e-8, backend=None) -> None:
+                 clip_tolerance: float = 1e-8) -> None:
         if rows <= 0 or cols <= 0:
             raise ValueError("grid dimensions must be positive")
         if pitch_x <= 0 or pitch_y <= 0:
@@ -95,11 +95,6 @@ class CirculantFieldSampler:
         self.pitch_x = float(pitch_x)
         self.pitch_y = float(pitch_y)
         self.correlation = correlation
-        #: Kernel backend name/instance for the spectrum-modulation step
-        #: of :meth:`sample` (RNG draws and FFTs stay on numpy: the RNG
-        #: stream is part of the reproducibility contract and the FFT
-        #: plan is numpy's own).
-        self.backend = backend
 
         # Minimal even embedding; doubling the grid guarantees that every
         # in-grid lag appears in the wrapped base row/column.
@@ -156,9 +151,6 @@ class CirculantFieldSampler:
         elif pair_chunk <= 0:
             raise ValueError(
                 f"pair_chunk must be positive, got {pair_chunk!r}")
-        from repro.backend import get_backend
-
-        kernels = get_backend(self.backend)
         rng = np.random.default_rng() if rng is None else rng
         out = np.empty((n_samples, self.n_points))
         # Each complex draw yields two independent real fields.
@@ -166,9 +158,9 @@ class CirculantFieldSampler:
         for start in range(0, n_pairs, pair_chunk):
             count = min(pair_chunk, n_pairs - start)
             draws = rng.standard_normal((count, 2, self._p, self._q))
-            spectra = np.fft.fft2(
-                kernels.modulate_noise(draws, self._amplitude),
-                axes=(-2, -1))
+            noise = draws[:, 0] + 1j * draws[:, 1]
+            spectra = np.fft.fft2(self._amplitude[None] * noise,
+                                  axes=(-2, -1))
             blocks = spectra[:, : self.rows, : self.cols]
             first = 2 * start
             # Even sample indices take the real parts, odd the imaginary;
@@ -200,14 +192,12 @@ def sample_field(
     grid: Optional[Tuple[int, int, float, float]] = None,
     rng: Optional[np.random.Generator] = None,
     cholesky_limit: int = 3000,
-    backend=None,
 ) -> np.ndarray:
     """Sample a unit-variance correlated Gaussian field.
 
     Exactly one of ``points`` (arbitrary ``(n, 2)`` coordinates) or
     ``grid`` (``(rows, cols, pitch_x, pitch_y)``) must be given. Regular
-    grids above ``cholesky_limit`` points use the FFT sampler, whose
-    spectrum-modulation step runs on the given kernel ``backend``.
+    grids above ``cholesky_limit`` points use the FFT sampler.
 
     Returns
     -------
@@ -219,7 +209,7 @@ def sample_field(
         rows, cols, pitch_x, pitch_y = grid
         if rows * cols > cholesky_limit:
             sampler: object = CirculantFieldSampler(
-                rows, cols, pitch_x, pitch_y, correlation, backend=backend)
+                rows, cols, pitch_x, pitch_y, correlation)
         else:
             sampler = CholeskyFieldSampler(
                 grid_points(rows, cols, pitch_x, pitch_y), correlation)

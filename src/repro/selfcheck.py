@@ -222,20 +222,7 @@ def _checks() -> List[Tuple[str, Callable[[], bool]]]:
         finally:
             pool.stop()
 
-    def check_backend() -> bool:
-        from repro.backend import get_backend, warmup_backend
-
-        name, _ = warmup_backend()
-        kernels = get_backend()
-        weights = np.array([[1.0, 2.0], [3.0, 4.0]])
-        values = np.array([[0.5, -0.25], [0.125, 1.0]])
-        reduced = kernels.weighted_sum(weights, values)
-        return (kernels.name == name
-                and abs(reduced - float((weights * values).sum())) < 1e-12)
-
     return [
-        ("active kernel backend warms up and reduces correctly",
-         check_backend),
         ("62-cell library builds with full state coverage", check_library),
         ("device leakage decreases with channel length", check_device_physics),
         ("stack effect suppresses series-OFF leakage", check_stack_effect),
@@ -255,36 +242,8 @@ def _checks() -> List[Tuple[str, Callable[[], bool]]]:
     ]
 
 
-def _backend_lines() -> List[str]:
-    """Human-readable kernel-backend report for the selfcheck header.
-
-    Never fails the selfcheck: a missing optional backend (numba not
-    installed) is reported, not treated as an error.
-    """
-    from repro.backend import backend_status, resolve_backend_name
-
-    lines = [f"kernel backend: {resolve_backend_name()} (active)"]
-    for name, entry in sorted(backend_status().items()):
-        detail = "available" if entry["available"] else "not installed"
-        status = entry.get("status")
-        if isinstance(status, dict):
-            cache = status.get("compile_cache")
-            if isinstance(cache, dict):
-                detail += (", compile cache "
-                           + ("warm" if cache.get("warm") else "cold")
-                           + f" ({cache.get('entries', 0)} entries)")
-            threads = status.get("threads")
-            if threads is not None:
-                detail += f", {threads} thread(s)"
-        lines.append(f"  backend {name}: {detail}")
-    return lines
-
-
 def run_selfcheck(verbose: bool = True) -> bool:
     """Run all checks; returns True iff every property holds."""
-    if verbose:
-        for line in _backend_lines():
-            print(line)
     all_good = True
     for label, check in _checks():
         try:

@@ -57,7 +57,6 @@ from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro import __version__
-from repro.backend import warmup_backend
 from repro.exceptions import ConfigurationError, ReproError
 from repro.service.faults import SITE_HTTP_DISCONNECT
 from repro.service.jobs import (
@@ -92,10 +91,6 @@ class LeakageHTTPServer(ThreadingHTTPServer):
         self.draining = False
         self._inflight = 0
         self._inflight_cv = threading.Condition()
-        # Warm the kernel backend before the first request can arrive:
-        # on a JIT backend this front-loads (or cache-loads) kernel
-        # compilation at bind time; on numpy it costs microseconds.
-        self.backend_name, self.backend_warmup_seconds = warmup_backend()
         metrics = client.metrics
         self._http_requests = metrics.counter(
             "repro_http_requests_total",
@@ -322,7 +317,6 @@ class _Handler(BaseHTTPRequestHandler):
             "worker_mode": getattr(client, "worker_mode", "thread"),
             "queue_depth": client.scheduler.queue_depth,
             "version": __version__,
-            "backend": self.server.backend_name,
             "details": details,
         }
         self._json("healthz", 200 if workers > 0 else 503, document)

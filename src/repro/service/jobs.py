@@ -199,16 +199,6 @@ class EstimateRequest:
         document lands in ``details["trace"]`` of the returned estimate
         and on the job snapshot (``GET /v1/jobs/<id>``); cached entries
         never store traces.
-    backend:
-        Kernel backend for the estimator hot paths (``None`` defers to
-        the server's default — ``REPRO_BACKEND`` env var, else numpy).
-        Excluded from the content hash: every backend satisfies the
-        parity contracts of :data:`repro.backend.KERNELS` against the
-        numpy reference, results are backend-agnostic by design, and the
-        cache/coalescing layers must treat them as interchangeable (a
-        numba-computed entry may serve a numpy request and vice versa).
-        Must name a *registered* backend; an unavailable-but-registered
-        one falls back to numpy at run time with a log line.
     """
 
     n_cells: int
@@ -227,7 +217,6 @@ class EstimateRequest:
     priority: int = 0
     allow_degraded: bool = True
     trace: bool = False
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if int(self.n_cells) < 1:
@@ -314,22 +303,13 @@ class EstimateRequest:
         object.__setattr__(self, "priority", int(self.priority))
         object.__setattr__(self, "allow_degraded", bool(self.allow_degraded))
         object.__setattr__(self, "trace", bool(self.trace))
-        if self.backend is not None:
-            from repro.backend import registered_backends
-
-            backend = str(self.backend)
-            if backend not in registered_backends():
-                raise ConfigurationError(
-                    f"unknown backend {backend!r}; registered: "
-                    f"{', '.join(registered_backends())}")
-            object.__setattr__(self, "backend", backend)
 
     # -- canonicalization / content addressing ---------------------------
 
     def canonical_dict(self) -> Dict[str, Any]:
         """The content of the request — everything that determines the
-        result (``priority``, ``allow_degraded``, ``trace``, and
-        ``backend`` are excluded; see the field docs)."""
+        result (``priority``, ``allow_degraded`` and ``trace`` are
+        excluded; see the field docs)."""
         document = {
             "n_cells": self.n_cells,
             "width_mm": self.width_mm,
@@ -397,7 +377,6 @@ class EstimateRequest:
         document["priority"] = self.priority
         document["allow_degraded"] = self.allow_degraded
         document["trace"] = self.trace
-        document["backend"] = self.backend
         return document
 
     @classmethod

@@ -40,7 +40,6 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
-from repro.backend import resolve_backend_name
 from repro.cells.library import build_library
 from repro.characterization.characterizer import characterize_library
 from repro.characterization.store import (
@@ -240,8 +239,7 @@ class EstimationPipeline:
                 characterization,
                 self._usage(request, characterization),
                 request.signal_probability,
-                simplified_correlation=request.simplified_correlation,
-                backend=request.backend)
+                simplified_correlation=request.simplified_correlation)
         # Live model objects; the RG tier is memory-only (no payload).
         self.cache.put(TIER_RG, key, components)
         return components
@@ -352,8 +350,7 @@ class EstimationPipeline:
             return self._run(request, job)
         tracer = Tracer("service.request")
         with tracer:
-            with tracer.span("service.request", method=request.method,
-                             backend=resolve_backend_name(request.backend)):
+            with tracer.span("service.request", method=request.method):
                 estimate = self._run(request, job)
         document = self._finish_trace(tracer, job, "request")
         if request.trace:
@@ -391,8 +388,7 @@ class EstimationPipeline:
             request.n_cells,
             request.width_mm * 1e-3,
             request.height_mm * 1e-3,
-            components=components,
-            backend=request.backend)
+            components=components)
 
         may_degrade = request.method == "exact" and request.allow_degraded
         estimate = None
@@ -588,8 +584,7 @@ class EstimationPipeline:
             request.n_cells,
             request.width_mm * 1e-3,
             request.height_mm * 1e-3,
-            components=components,
-            backend=request.backend)
+            components=components)
         base = BaseEstimate.from_estimator(estimator)
         with self._base_lock:
             self._bases[key] = base

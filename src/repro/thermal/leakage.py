@@ -72,8 +72,7 @@ class LeakageTemperatureModel:
 
     def __init__(self, characterization: LibraryCharacterization,
                  usage, signal_probability: float, state_weights,
-                 ambient: float, anchor_spacing: float,
-                 backend=None) -> None:
+                 ambient: float, anchor_spacing: float) -> None:
         if characterization.mode != "analytical":
             raise EstimationError(
                 "thermal estimation re-characterizes the library at "
@@ -86,7 +85,6 @@ class LeakageTemperatureModel:
         self.state_weights = state_weights
         self.ambient = float(ambient)
         self.anchor_spacing = float(anchor_spacing)
-        self.backend = backend
         self._cells = tuple(str(name) for name in usage.names)
         self._store = _cache_for(characterization)
         self._rg_key_base = (
@@ -146,7 +144,7 @@ class LeakageTemperatureModel:
             cached = RGComponents.build(
                 self.characterize_at(temperature), self.usage,
                 self.signal_probability, simplified_correlation=True,
-                state_weights=self.state_weights, backend=self.backend)
+                state_weights=self.state_weights)
             self._store[key] = cached
         return cached
 

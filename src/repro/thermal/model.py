@@ -12,8 +12,9 @@ network (the "fast concurrent power-thermal" decomposition):
 
 Both are linear in the power map, so the whole operator is one
 zero-padded FFT convolution over the site lattice — the same machinery
-(and the same backend kernel, :meth:`~repro.backend.KernelBackend.exp_lag_rho`)
-the fast exact estimator uses for its lag transforms. Applying the
+(and the same lattice evaluation,
+:meth:`~repro.process.correlation.SpatialCorrelation.evaluate_xy` of an
+exponential) the fast exact estimator uses for its lag transforms. Applying the
 operator is O(n log n) in the site count and is called once per
 fixed-point iteration.
 """
@@ -24,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.obs import span
+from repro.process.correlation import ExponentialCorrelation
 from repro.thermal.config import ThermalConfig
 
 
@@ -51,15 +52,13 @@ class ThermalOperator:
     resistance in K/W, independent of grid resolution.
 
     The convolution is evaluated as a zero-padded (linear, not
-    circular) FFT product; the kernel table itself comes from the
-    backend's ``exp_lag_rho`` lattice kernel, so compiled backends
-    accelerate the setup exactly as they do the estimator lag
-    transforms.
+    circular) FFT product; the kernel table itself is an
+    :class:`~repro.process.correlation.ExponentialCorrelation` evaluated
+    over the lag lattice, as the estimator lag transforms do.
     """
 
     def __init__(self, rows: int, cols: int, pitch_x: float,
-                 pitch_y: float, config: ThermalConfig,
-                 backend=None) -> None:
+                 pitch_y: float, config: ThermalConfig) -> None:
         self.rows = int(rows)
         self.cols = int(cols)
         self.config = config
@@ -68,17 +67,13 @@ class ThermalOperator:
         self._kernel_spectrum: Optional[np.ndarray] = None
         self._shape = (3 * self.rows - 2, 3 * self.cols - 2)
         if self.spreading_resistance > 0.0:
-            kernels = get_backend(backend)
             with span("thermal.operator", rows=self.rows, cols=self.cols):
                 lag_x = np.arange(1 - self.rows, self.rows) * float(pitch_x)
                 lag_y = np.arange(1 - self.cols, self.cols) * float(pitch_y)
-                # exp(-d / lambda) over the full lag lattice, through the
-                # same backend kernel the estimators use for lattice rho
-                # tables (floor=0, scale=1 -> the bare exponential).
-                table = kernels.exp_lag_rho(
-                    lag_x, lag_y, float(config.spreading_length),
-                    0.0, 1.0, False)
-                table = np.asarray(table, dtype=float)
+                # exp(-d / lambda) over the full lag lattice.
+                spreading = ExponentialCorrelation(config.spreading_length)
+                table = spreading.evaluate_xy(lag_x[:, None],
+                                              lag_y[None, :])
                 kernel = (self.spreading_resistance / table.sum()) * table
                 self._kernel_spectrum = np.fft.rfft2(kernel, s=self._shape)
 

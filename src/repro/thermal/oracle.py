@@ -87,11 +87,10 @@ def coupled_monte_carlo(
     model = LeakageTemperatureModel(
         estimator.characterization, estimator.usage,
         estimator.signal_probability, estimator.state_weights,
-        ambient, config.anchor_spacing, backend=estimator.backend)
+        ambient, config.anchor_spacing)
     model.ensure_anchors(ambient)
     theta = ThermalOperator(chip.rows, chip.cols, chip.pitch_x,
-                            chip.pitch_y, config,
-                            backend=estimator.backend)
+                            chip.pitch_y, config)
     n_sites = chip.n_sites
     site_scale = chip.n_cells / n_sites
     spacing = model.anchor_spacing

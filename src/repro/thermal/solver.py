@@ -54,7 +54,7 @@ _COUPLED_METHODS = ("auto", "linear")
 
 
 def solve_coupled(estimator: FullChipLeakageEstimator, method: str,
-                  config: ThermalConfig, kernels=None, *,
+                  config: ThermalConfig, *,
                   n_jobs: int = 1,
                   tolerance: float = 0.0) -> LeakageEstimate:
     """Run one coupled power–thermal estimate for ``estimator``.
@@ -65,14 +65,14 @@ def solve_coupled(estimator: FullChipLeakageEstimator, method: str,
     """
     with span("thermal.solve", mode=config.mode,
               feedback=config.feedback):
-        return _solve(estimator, method, config, kernels,
+        return _solve(estimator, method, config,
                       n_jobs=n_jobs, tolerance=tolerance)
 
 
 def _uniform_estimate(estimator: FullChipLeakageEstimator,
                       model: LeakageTemperatureModel, method: str,
                       temperature: float, simplified: Optional[bool],
-                      kernels, n_jobs: int,
+                      n_jobs: int,
                       tolerance: float) -> LeakageEstimate:
     """The isothermal estimate at a uniform junction ``temperature``.
 
@@ -88,14 +88,12 @@ def _uniform_estimate(estimator: FullChipLeakageEstimator,
         chip.height, signal_probability=estimator.signal_probability,
         correlation=estimator.correlation,
         simplified_correlation=simplified,
-        state_weights=estimator.state_weights,
-        backend=estimator.backend)
-    return iso._estimate(method, n_jobs=n_jobs, tolerance=tolerance,
-                         kernels=kernels)
+        state_weights=estimator.state_weights)
+    return iso._estimate(method, n_jobs=n_jobs, tolerance=tolerance)
 
 
 def _solve(estimator: FullChipLeakageEstimator, method: str,
-           config: ThermalConfig, kernels, *, n_jobs: int,
+           config: ThermalConfig, *, n_jobs: int,
            tolerance: float) -> LeakageEstimate:
     technology = estimator.characterization.technology
     ambient = config.resolve_ambient(technology)
@@ -108,7 +106,7 @@ def _solve(estimator: FullChipLeakageEstimator, method: str,
     model = LeakageTemperatureModel(
         estimator.characterization, estimator.usage,
         estimator.signal_probability, estimator.state_weights,
-        ambient, config.anchor_spacing, backend=estimator.backend)
+        ambient, config.anchor_spacing)
 
     if not config.feedback:
         # Open loop: the chip sits at the uniform ambient; keep the
@@ -116,8 +114,7 @@ def _solve(estimator: FullChipLeakageEstimator, method: str,
         # result is bit-identical to temperature_sweep / estimate().
         estimate = _uniform_estimate(
             estimator, model, method, ambient,
-            estimator.rg_correlation.simplified, kernels, n_jobs,
-            tolerance)
+            estimator.rg_correlation.simplified, n_jobs, tolerance)
         return estimate.with_details(thermal=_diagnostics(
             config, ambient, iterations=0, residuals=[],
             converged=True, gain=0.0, t_map=None,
@@ -136,8 +133,7 @@ def _solve(estimator: FullChipLeakageEstimator, method: str,
             "pass simplified_correlation=True")
 
     theta = ThermalOperator(chip.rows, chip.cols, chip.pitch_x,
-                            chip.pitch_y, config,
-                            backend=estimator.backend)
+                            chip.pitch_y, config)
     site_scale = chip.n_cells / chip.n_sites
 
     def moments(t_map: np.ndarray):
@@ -203,7 +199,7 @@ def _solve(estimator: FullChipLeakageEstimator, method: str,
             thermal_details["variance_engine"] = "uniform"
             estimate = _uniform_estimate(
                 estimator, model, method, float(t_map.flat[0]), True,
-                kernels, n_jobs, tolerance)
+                n_jobs, tolerance)
             if gain > 0.0:
                 amplification = 1.0 / (1.0 - gain)
                 estimate = estimate.with_details(site_variance=float(
@@ -219,7 +215,7 @@ def _solve(estimator: FullChipLeakageEstimator, method: str,
         thermal_details["variance_engine"] = "sigma_lagsum"
         return _package_coupled(
             estimator, method, t_map, means, stds, corr_stds, vts, gain,
-            thermal_details, kernels, n_jobs, tolerance)
+            thermal_details, n_jobs, tolerance)
 
 
 def _feedback_gain(model: LeakageTemperatureModel, theta: ThermalOperator,
@@ -252,7 +248,7 @@ def _package_coupled(estimator: FullChipLeakageEstimator, method: str,
                      t_map: np.ndarray, means: np.ndarray,
                      stds: np.ndarray, corr_stds: np.ndarray,
                      vts: np.ndarray, gain: float,
-                     thermal_details: Dict[str, Any], kernels,
+                     thermal_details: Dict[str, Any],
                      n_jobs: int, tolerance: float) -> LeakageEstimate:
     """Chip moments from per-site RG moments on the converged map."""
     chip = estimator.chip
@@ -269,7 +265,6 @@ def _package_coupled(estimator: FullChipLeakageEstimator, method: str,
         grid=(chip.rows, chip.cols),
         n_jobs=n_jobs,
         tolerance=tolerance,
-        backend=kernels,
     )
     amplification = 1.0 / (1.0 - gain)
     site_variance = float(site_std ** 2) * amplification ** 2

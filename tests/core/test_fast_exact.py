@@ -22,8 +22,10 @@ from repro.core.estimators import (
     exact_moments,
     pair_params_from_fits,
 )
+from repro.core.estimators.fast_exact import GridInfo, _lag_correlation
 from repro.exceptions import EstimationError
 from repro.process import (
+    AnisotropicCorrelation,
     ExponentialCorrelation,
     GaussianCorrelation,
     LinearCorrelation,
@@ -79,6 +81,45 @@ def gate_arrays(n, rng):
     stds = rng.uniform(0.2e-7, 0.8e-7, size=n)
     corr_stds = stds * rng.uniform(0.6, 1.0, size=n)
     return means, stds, corr_stds, pair_params
+
+
+class TestLagCorrelation:
+    """The lagsum layout: y lags along axis 0, x lags along axis 1."""
+
+    @staticmethod
+    def grid(rows, cols, pitch_x, pitch_y):
+        empty = np.zeros(0, dtype=int)
+        return GridInfo(rows, cols, pitch_x, pitch_y, empty, empty)
+
+    def test_axis_layout_for_anisotropic_model(self):
+        correlation = AnisotropicCorrelation(
+            ExponentialCorrelation(2e-4), scale_x=2.0, scale_y=0.5)
+        rho = _lag_correlation(self.grid(3, 4, 1e-4, 2e-4), correlation)
+        assert rho.shape == (5, 7)
+        dj = np.arange(-3, 4) * 1e-4
+        di = np.arange(-2, 3) * 2e-4
+        assert np.array_equal(rho, correlation.evaluate_xy(
+            dj[None, :], di[:, None]))
+
+    @pytest.mark.parametrize("name", ["exponential", "gaussian",
+                                      "total-floor"])
+    def test_matches_historical_lattice_kernel(self, name):
+        """Equal, bit for bit, to the formerly hand-fused kernel
+        ``floor + scale * f(hypot(dy, dx) / length)`` on (dy, dx)."""
+        correlation = CORRELATIONS[name]
+        rho = _lag_correlation(self.grid(9, 6, 12e-6, 15e-6), correlation)
+        dj = np.arange(-5, 6) * 12e-6
+        di = np.arange(-8, 9) * 15e-6
+        distance = np.hypot(di[:, None], dj[None, :])
+        wid = correlation.wid if name == "total-floor" else correlation
+        if name == "gaussian":
+            base = np.exp(-((distance / wid.length) ** 2))
+        else:
+            base = np.exp(-distance / wid.length)
+        if name == "total-floor":
+            floor = correlation.rho_floor
+            base = floor + (1.0 - floor) * base
+        assert np.array_equal(rho, base)
 
 
 class TestGridDetection:

@@ -28,7 +28,14 @@ from repro.core.sweep import (
     usage_axis,
 )
 from repro.exceptions import EstimationError
-from repro.process import ExponentialCorrelation, GaussianCorrelation
+from repro.process import (
+    AnisotropicCorrelation,
+    ExponentialCorrelation,
+    GaussianCorrelation,
+    ProcessParameter,
+    TotalCorrelation,
+)
+from repro.process.correlation import ScaledCorrelation
 
 
 BASE = dict(n_cells=2_000, width=0.8e-3, height=0.8e-3,
@@ -304,3 +311,74 @@ class TestLagGeometry:
         n = 7 * 11
         assert int(geometry.counts.sum()) == n * n
         assert int(geometry.counts[geometry.zero_lag]) == n
+
+    @pytest.mark.parametrize("simplified", [True, False])
+    def test_variance_from_rho_matches_historical_reduce(
+            self, small_characterization, usage, simplified):
+        """The eq. (17) reduce is the historical op sequence, bit for
+        bit: map rho to covariances (scale or interpolation), put the
+        RG variance on the zero lag, sum against the multiplicities."""
+        estimator = FullChipLeakageEstimator(
+            small_characterization, usage, 1_000, 0.5e-3, 0.5e-3,
+            simplified_correlation=simplified)
+        rg = estimator.rg_correlation
+        chip = estimator.chip
+        geometry = LagGeometry(chip.rows, chip.cols, chip.pitch_x,
+                               chip.pitch_y)
+        rho = geometry.rho(
+            small_characterization.technology.total_correlation)
+        if simplified:
+            cov = rg.covariance_scale * rho
+        else:
+            cov = np.interp(rho, rg.covariance_grid, rg.covariance_values)
+        cov[geometry.zero_lag] = rg.same_site_covariance
+        want = float(np.sum(geometry.counts * cov))
+        assert geometry.variance_from_rho(rho, rg) == want
+
+    def test_simplified_reduce_does_not_mutate_rho(
+            self, small_characterization, usage):
+        estimator = FullChipLeakageEstimator(
+            small_characterization, usage, 1_000, 0.5e-3, 0.5e-3,
+            simplified_correlation=True)
+        geometry = LagGeometry(5, 5, 2e-6, 2e-6)
+        rho = np.random.default_rng(3).uniform(-1.0, 1.0,
+                                               geometry.counts.shape)
+        snapshot = rho.copy()
+        geometry.variance_from_rho(rho, estimator.rg_correlation)
+        assert np.array_equal(rho, snapshot)
+
+    @pytest.mark.parametrize("gaussian", [False, True])
+    @pytest.mark.parametrize("wrap", ["bare", "total", "scaled"])
+    def test_rho_matches_historical_lattice_kernel(self, gaussian, wrap):
+        """The lattice rho equals the formerly hand-fused kernel
+        ``floor + scale * f(hypot(x, y) / length)`` bit for bit."""
+        length = 0.5e-3
+        family = GaussianCorrelation if gaussian else ExponentialCorrelation
+        correlation = family(length)
+        floor, scale = 0.0, 1.0
+        if wrap == "total":
+            parameter = ProcessParameter("L", 50e-9, 1.5e-9, 2.0e-9)
+            correlation = TotalCorrelation(correlation, parameter)
+            floor, scale = correlation.rho_floor, 1.0 - correlation.rho_floor
+        elif wrap == "scaled":
+            correlation = ScaledCorrelation(correlation, 0.65)
+            scale = 0.65
+        geometry = LagGeometry(11, 13, 2e-6, 3e-6)
+        distance = np.hypot(geometry.x[:, None], geometry.y[None, :])
+        if gaussian:
+            base = np.exp(-((distance / length) ** 2))
+        else:
+            base = np.exp(-distance / length)
+        want = base if (floor, scale) == (0.0, 1.0) else floor + scale * base
+        assert np.array_equal(geometry.rho(correlation), want)
+
+    def test_rho_axis_layout_for_anisotropic_model(self):
+        """x lags vary along axis 0 and y lags along axis 1."""
+        correlation = AnisotropicCorrelation(
+            ExponentialCorrelation(0.5e-3), scale_x=2.0, scale_y=0.5)
+        geometry = LagGeometry(3, 4, 2e-4, 1e-4)
+        rho = geometry.rho(correlation)
+        assert rho.shape == (7, 5)
+        assert np.array_equal(rho, correlation.evaluate_xy(
+            geometry.x[:, None], geometry.y[None, :]))
+        assert not np.array_equal(rho[:5, :5], rho[:5, :5].T)

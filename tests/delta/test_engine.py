@@ -199,6 +199,17 @@ class TestRoundTrip:
         assert math.isclose(roundtrip.mean, original.mean, rel_tol=1e-12)
         assert math.isclose(roundtrip.std, original.std, rel_tol=1e-9)
 
+    def test_loads_artifact_with_backend_entry(self, base,
+                                               small_characterization):
+        """Artifacts written when bases recorded their kernel backend
+        (``"backend": "numpy"``) still load, with identical content."""
+        document = base.to_dict()
+        assert "backend" not in document
+        restored = BaseEstimate.from_dict(
+            dict(document, backend="numpy"),
+            characterization=small_characterization)
+        assert restored.to_dict() == document
+
 
 class TestGoldenECO:
     def test_cell_swap_eco_golden(self, base, update_goldens):

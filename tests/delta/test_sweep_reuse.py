@@ -4,8 +4,8 @@
 usage-only points reusing the cached
 :class:`repro.delta.moments.CrossMomentTable` stay **bit-identical**
 to a fresh per-point ``RGComponents.build`` — the contraction
-replicates the numpy backend's terminal operations verbatim. These
-tests pin that promise: a usage-axis sweep must (a) actually take the
+replicates the terminal operations of ``rg_covariance_grid`` verbatim.
+These tests pin that promise: a usage-axis sweep must (a) actually take the
 reuse path after the first point, and (b) produce means/stds equal —
 ``==``, not approx — to one-shot estimator runs of the same points.
 """

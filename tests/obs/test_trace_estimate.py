@@ -13,6 +13,7 @@ The contract asserted here (and stated in ``docs/OBSERVABILITY.md``):
 """
 
 import math
+import sys
 
 import pytest
 
@@ -167,6 +168,11 @@ class TestNoOpOverhead:
     from its own trace) must stay under 2% of the untraced wall time.
     """
 
+    @pytest.mark.skipif(
+        sys.gettrace() is not None,
+        reason="a line tracer (e.g. tools/coverage.py) inflates every "
+               "span call, so the per-call cost measured here is the "
+               "tracer's, not the disabled span's")
     def test_overhead_bound_under_two_percent(self, small_characterization,
                                               usage):
         import time

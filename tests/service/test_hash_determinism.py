@@ -103,10 +103,9 @@ class TestNumpyScalars:
 
 
 class TestIrrelevantFields:
-    def test_priority_trace_backend_excluded(self):
+    def test_priority_trace_excluded(self):
         plain = _estimate_request()
-        tweaked = _estimate_request(priority=7, trace=True,
-                                    backend="numba")
+        tweaked = _estimate_request(priority=7, trace=True)
         assert tweaked.key() == plain.key()
 
     def test_whatif_priority_excluded(self):

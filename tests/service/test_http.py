@@ -294,6 +294,15 @@ class TestValidation:
         assert document["kind"] == "bad_request"
         assert "surprise_field" in document["error"]
 
+    def test_backend_field_is_400(self, server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(server, "/v1/estimate",
+                 dict(ESTIMATE_BODY, backend="numpy"))
+        assert excinfo.value.code == 400
+        document = json.loads(excinfo.value.read())
+        assert document["kind"] == "bad_request"
+        assert "backend" in document["error"]
+
     def test_oversized_body_is_400(self, server):
         padded = dict(ESTIMATE_BODY, usage={
             f"CELL_{i}": 0.0 for i in range(60000)})

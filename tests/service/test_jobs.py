@@ -55,6 +55,15 @@ class TestValidation:
                 {"n_cells": 10, "width_mm": 1, "height_mm": 1,
                  "surprise": True})
 
+    def test_rejects_retired_backend_field(self):
+        """Requests carry no kernel selection; an old document that
+        still names one is refused, not silently ignored."""
+        with pytest.raises(ConfigurationError, match="backend"):
+            EstimateRequest.from_dict(
+                {"n_cells": 10, "width_mm": 1, "height_mm": 1,
+                 "backend": "numpy"})
+        assert "backend" not in make().to_dict()
+
 
 class TestCanonicalization:
     def test_usage_order_does_not_change_key(self):

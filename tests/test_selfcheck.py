@@ -6,7 +6,7 @@ class TestSelfcheck:
     def test_all_properties_hold(self, capsys):
         assert run_selfcheck(verbose=True)
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 12
+        assert out.count("[PASS]") == 11
         assert "[FAIL]" not in out
         assert "self-check: OK" in out
 
