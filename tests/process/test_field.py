@@ -112,6 +112,23 @@ class TestCirculantBatching:
                              pair_chunk=pair_chunk)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n_samples", [4, 7])
+    def test_modulation_bit_identical(self, n_samples):
+        # The historical modulation step, amplitude[None] * (re + 1j*im)
+        # over a whole (count, 2, p, q) draw, followed by one batched FFT.
+        sampler = CirculantFieldSampler(8, 6, 1e-5, 2e-5, CORR)
+        n_pairs = (n_samples + 1) // 2
+        draws = np.random.default_rng(11).standard_normal(
+            (n_pairs, 2, sampler._p, sampler._q))
+        noise = sampler._amplitude[None] * (draws[:, 0] + 1j * draws[:, 1])
+        blocks = np.fft.fft2(noise, axes=(-2, -1))[:, :8, :6]
+        want = np.empty((2 * n_pairs, sampler.n_points))
+        want[0::2] = blocks.real.reshape(n_pairs, -1)
+        want[1::2] = blocks.imag.reshape(n_pairs, -1)
+        got = sampler.sample(n_samples, np.random.default_rng(11),
+                             pair_chunk=n_pairs)
+        assert np.array_equal(got, want[:n_samples])
+
     def test_rejects_non_positive_chunk(self):
         sampler = CirculantFieldSampler(4, 4, 1e-5, 1e-5, CORR)
         with pytest.raises(ValueError):
