@@ -6,10 +6,13 @@ collapses into a sum over *distance vectors* ``(i, j)``, each occurring
 
 ``n_ij = (cols - |i|) * (rows - |j|)``
 
-times (eq. 16). The ``(0, 0)`` entry counts exactly the ``n`` self-pairs
-and contributes the full RG variance; every other entry uses the
-distinct-site covariance. The transform is exact — no approximation
-relative to eq. (15) on a grid.
+times (eq. 16). Every correlation model is even in each displacement
+component (the ``SpatialCorrelation.evaluate_xy`` contract), so the lags
+``(+-i, +-j)`` share one value: the sum runs over ``0 <= i < cols``,
+``0 <= j < rows`` with ``n_ij`` doubled for each nonzero component. The
+``(0, 0)`` entry counts exactly the ``n`` self-pairs and contributes the
+full RG variance; every other entry uses the distinct-site covariance.
+The transform is exact — no approximation relative to eq. (15).
 
 The transform splits cleanly into a *geometry* half and a *parameter*
 half: the lag vectors and their multiplicities depend only on the
@@ -32,11 +35,10 @@ from repro.process.correlation import SpatialCorrelation
 class LagGeometry:
     """Geometry-only half of the eq. (17) lag transform.
 
-    Precomputes, for a ``rows x cols`` site grid, the distance-vector
-    (lag) coordinate arrays and the multiplicity table
-    ``n_ij = (cols - |i|) * (rows - |j|)`` — everything in the transform
-    that depends only on the placement. The parameter-dependent half
-    enters through :meth:`rho` (the correlation kernel at the lags) and
+    Precomputes, for a ``rows x cols`` site grid, the folded lag
+    coordinate arrays and multiplicity table (module docstring) —
+    everything in the transform that depends only on the placement. The
+    parameter-dependent half enters through :meth:`rho` (the kernel) and
     :meth:`variance_from_rho` (the RG covariance mapping and the final
     weighted sum), so a sweep over correlation or usage parameters pays
     for the geometry once.
@@ -59,28 +61,28 @@ class LagGeometry:
         self.pitch_x = float(pitch_x)
         self.pitch_y = float(pitch_y)
         with span("linear.geometry", rows=self.rows, cols=self.cols):
-            i = np.arange(-(cols - 1), cols)
-            j = np.arange(-(rows - 1), rows)
-            count_x = cols - np.abs(i)
-            count_y = rows - np.abs(j)
-            #: Lag displacement components [m]; (2m-1,) and (2k-1,).
+            i = np.arange(cols)
+            j = np.arange(rows)
+            count_x = np.where(i == 0, 1, 2) * (cols - i)
+            count_y = np.where(j == 0, 1, 2) * (rows - j)
+            #: Non-negative lag displacement components [m]; (m,), (k,).
             self.x = i * pitch_x
             self.y = j * pitch_y
-            #: Pair multiplicities n_ij (eq. 16); (2m-1) x (2k-1).
+            #: Folded pair multiplicities n_ij (eq. 16); m x k.
             self.counts = count_x[:, None] * count_y[None, :]
             #: Index of the (0, 0) lag — the n self-pairs.
-            self.zero_lag = (cols - 1, rows - 1)
+            self.zero_lag = (0, 0)
 
     @property
     def n_lags(self) -> int:
-        """Number of distinct lag vectors, ``(2m-1)(2k-1)``."""
+        """Number of folded lag vectors, ``m k``."""
         return self.counts.size
 
     def rho(self, correlation: SpatialCorrelation) -> np.ndarray:
         """``rho_L`` at every lag — the correlation half of eq. (17).
 
         The x lags vary along axis 0 and the y lags along axis 1, so
-        anisotropic correlation models stay exact.
+        anisotropic (but even) correlation models stay exact.
         """
         with span("linear.kernel", n_lags=self.n_lags):
             return correlation.evaluate_xy(self.x[:, None],

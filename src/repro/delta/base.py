@@ -48,8 +48,8 @@ from repro.delta.moments import component_params, quadratic_products
 from repro.exceptions import DeltaIncompatibleError, EstimationError
 from repro.obs import span
 
-#: Schema version of the exported base artifact.
-BASE_SCHEMA_VERSION = 1
+#: Schema version of the exported base artifact (2: folded lag ``rho``).
+BASE_SCHEMA_VERSION = 2
 
 
 def _interp_weights(grid: np.ndarray, rho: np.ndarray,

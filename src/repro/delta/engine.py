@@ -39,7 +39,7 @@ mixtures (q ~ 500) where the pruning mass compounds.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -153,25 +153,18 @@ def _geometry_ledger(base: BaseEstimate, chip: FullChipModel,
 
     Returns ``(geometry, rho, w, s_rho)``. Reuses the base's kernel
     values when the site pitch is unchanged and the new lag range fits
-    inside the old one (a center crop — bit-identical, the kernel is a
-    pure function of lag coordinates); otherwise re-evaluates the
-    kernel, which needs the base's live correlation reference.
+    inside the old one (a corner crop of the folded quadrant —
+    bit-identical, the kernel is a pure function of lag coordinates);
+    otherwise re-evaluates the kernel, which needs the base's live
+    correlation reference.
     """
     geometry = LagGeometry(chip.rows, chip.cols, chip.pitch_x, chip.pitch_y)
     base_chip = base.chip
     same_pitch = (chip.pitch_x == base_chip.pitch_x
                   and chip.pitch_y == base_chip.pitch_y)
-    if (chip.rows, chip.cols) == (base_chip.rows, base_chip.cols) \
-            and same_pitch:
-        rho = base.rho
-        ledger["lags_reused"] = int(rho.size)
-        ledger["lags_recomputed"] = 0
-    elif (same_pitch and chip.cols <= base_chip.cols
+    if (same_pitch and chip.cols <= base_chip.cols
             and chip.rows <= base_chip.rows):
-        dc = base_chip.cols - chip.cols
-        dr = base_chip.rows - chip.rows
-        rho = base.rho[dc:dc + 2 * chip.cols - 1,
-                       dr:dr + 2 * chip.rows - 1]
+        rho = base.rho[:chip.cols, :chip.rows]
         ledger["lags_reused"] = int(rho.size)
         ledger["lags_recomputed"] = 0
     else:

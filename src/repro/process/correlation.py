@@ -102,6 +102,12 @@ class SpatialCorrelation(abc.ABC):
 
         Isotropic functions reduce to ``rho(hypot(dx, dy))``; anisotropic
         wrappers override this with their own metric.
+
+        Every implementation must be even in each displacement
+        component, bit for bit: ``evaluate_xy(-dx, dy)`` and
+        ``evaluate_xy(dx, -dy)`` equal ``evaluate_xy(dx, dy)``. The
+        eq. (17) transform folds the lag lattice onto its non-negative
+        quadrant on that contract (:mod:`repro.core.estimators.linear`).
         """
         dx = np.asarray(dx, dtype=float)
         dy = np.asarray(dy, dtype=float)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 

@@ -68,12 +68,14 @@ class ThermalOperator:
         self._shape = (3 * self.rows - 2, 3 * self.cols - 2)
         if self.spreading_resistance > 0.0:
             with span("thermal.operator", rows=self.rows, cols=self.cols):
-                lag_x = np.arange(1 - self.rows, self.rows) * float(pitch_x)
-                lag_y = np.arange(1 - self.cols, self.cols) * float(pitch_y)
+                # Rows run along y and columns along x, so the axis-0
+                # lags step by pitch_y and the axis-1 lags by pitch_x.
+                lag_y = np.arange(1 - self.rows, self.rows) * float(pitch_y)
+                lag_x = np.arange(1 - self.cols, self.cols) * float(pitch_x)
                 # exp(-d / lambda) over the full lag lattice.
                 spreading = ExponentialCorrelation(config.spreading_length)
-                table = spreading.evaluate_xy(lag_x[:, None],
-                                              lag_y[None, :])
+                table = spreading.evaluate_xy(lag_x[None, :],
+                                              lag_y[:, None])
                 kernel = (self.spreading_resistance / table.sum()) * table
                 self._kernel_spectrum = np.fft.rfft2(kernel, s=self._shape)
 

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.characterization.fitting import LeakageFit
-from repro.core import FullChipModel
 from repro.core.estimators import (
     detect_grid,
     exact_moments,

@@ -30,6 +30,7 @@ from repro.core.sweep import (
 from repro.exceptions import EstimationError
 from repro.process import (
     AnisotropicCorrelation,
+    CompositeCorrelation,
     ExponentialCorrelation,
     GaussianCorrelation,
     ProcessParameter,
@@ -378,7 +379,81 @@ class TestLagGeometry:
             ExponentialCorrelation(0.5e-3), scale_x=2.0, scale_y=0.5)
         geometry = LagGeometry(3, 4, 2e-4, 1e-4)
         rho = geometry.rho(correlation)
-        assert rho.shape == (7, 5)
+        assert rho.shape == (4, 3)
         assert np.array_equal(rho, correlation.evaluate_xy(
             geometry.x[:, None], geometry.y[None, :]))
-        assert not np.array_equal(rho[:5, :5], rho[:5, :5].T)
+        assert not np.array_equal(rho[:3, :3], rho[:3, :3].T)
+
+    def test_folded_quadrant_layout(self):
+        """Lags cover the non-negative quadrant; each multiplicity
+        counts the up-to-four signed lags ``(+-i, +-j)``."""
+        geometry = LagGeometry(3, 4, 2e-4, 1e-4)
+        assert geometry.zero_lag == (0, 0)
+        np.testing.assert_array_equal(geometry.x, np.arange(4) * 2e-4)
+        np.testing.assert_array_equal(geometry.y, np.arange(3) * 1e-4)
+        np.testing.assert_array_equal(
+            geometry.counts,
+            np.outer([4, 6, 4, 2], [3, 4, 2]))
+        assert geometry.n_lags == 12
+
+
+def full_lattice_variance(rows, cols, pitch_x, pitch_y, correlation, rg):
+    """The unfolded eq. (17) sum over all ``(2m-1)(2k-1)`` signed lags."""
+    i = np.arange(-(cols - 1), cols)
+    j = np.arange(-(rows - 1), rows)
+    counts = (cols - np.abs(i))[:, None] * (rows - np.abs(j))[None, :]
+    rho = correlation.evaluate_xy((i * pitch_x)[:, None],
+                                  (j * pitch_y)[None, :])
+    if rg.covariance_scale is not None:
+        cov = rg.covariance_scale * rho
+    else:
+        cov = np.interp(rho, rg.covariance_grid, rg.covariance_values)
+    cov[cols - 1, rows - 1] = rg.same_site_covariance
+    return float(np.sum(counts * cov)), rho
+
+
+#: Relative agreement of the quadrant fold with the full-lattice sum.
+#: The folded kernel values are the same floats; only the summation
+#: order differs (docs/THEORY.md section 4).
+FOLD_RTOL = 1e-12
+
+
+def _fold_models():
+    floor = ProcessParameter("L", 50e-9, 1.5e-9, 2.0e-9)
+    return {
+        "exponential": ExponentialCorrelation(0.5e-3),
+        "gaussian_d2d": TotalCorrelation(GaussianCorrelation(0.4e-3),
+                                         floor),
+        "anisotropic": AnisotropicCorrelation(
+            ExponentialCorrelation(0.5e-3), scale_x=2.0, scale_y=0.5),
+        "composite": CompositeCorrelation(
+            [ExponentialCorrelation(0.2e-3), GaussianCorrelation(1e-3)],
+            [0.4, 0.6]),
+    }
+
+
+class TestQuadrantFold:
+    """The folded transform against the full signed-lag oracle."""
+
+    @pytest.mark.parametrize("simplified", [True, False])
+    @pytest.mark.parametrize("model", sorted(_fold_models()))
+    @pytest.mark.parametrize("grid", [(7, 11, 1e-5, 2e-5),
+                                      (48, 64, 1.5e-5, 1e-5),
+                                      (1, 9, 3e-5, 3e-5)])
+    def test_matches_full_lattice_sum(self, small_characterization, usage,
+                                      simplified, model, grid):
+        rows, cols, pitch_x, pitch_y = grid
+        correlation = _fold_models()[model]
+        rg = FullChipLeakageEstimator(
+            small_characterization, usage, 1_000, 0.5e-3, 0.5e-3,
+            simplified_correlation=simplified).rg_correlation
+        want, full_rho = full_lattice_variance(rows, cols, pitch_x,
+                                               pitch_y, correlation, rg)
+        geometry = LagGeometry(rows, cols, pitch_x, pitch_y)
+        rho = geometry.rho(correlation)
+        # The quadrant holds the very floats of the lattice's
+        # non-negative corner: only the summation order changes.
+        assert np.array_equal(rho, full_rho[cols - 1:, rows - 1:])
+        got = linear_variance(rows, cols, pitch_x, pitch_y, correlation,
+                              rg)
+        assert got == pytest.approx(want, rel=FOLD_RTOL)

@@ -29,6 +29,7 @@ from repro.delta import (
     UsageHistogramEdit,
     estimate_delta,
 )
+from repro.exceptions import EstimationError
 from tests.test_goldens import check_golden
 
 N_CELLS = 4096
@@ -170,6 +171,31 @@ class TestAgainstFresh:
         assert_close(delta, fresh)
 
 
+class TestSamePitchReuse:
+    """A same-pitch shrink reuses the base's kernel values (a crop of
+    the stored lag table) and still matches a fresh estimate."""
+
+    PITCH = 2.0 ** -14
+
+    def test_same_pitch_shrink_crops_base_rho(self, small_characterization):
+        usage = CellUsage.uniform(small_characterization.cell_names)
+        base = BaseEstimate.build(small_characterization, usage, 64 * 64,
+                                  64 * self.PITCH, 64 * self.PITCH)
+        assert (base.chip.rows, base.chip.cols) == (64, 64)
+        edit = FloorplanResizeEdit(n_cells=40 * 48, width=48 * self.PITCH,
+                                   height=40 * self.PITCH)
+        delta = estimate_delta(base, edit)
+        assert (delta.details["rows"], delta.details["cols"]) == (40, 48)
+        ledger = delta.details["delta"]
+        assert ledger["geometry_changed"]
+        assert ledger["lags_recomputed"] == 0
+        assert ledger["lags_reused"] > 0
+        fractions, n, w, h = fold_reference(base, [edit])
+        fresh = fresh_estimate(small_characterization, fractions, n, w, h,
+                               base.signal_probability)
+        assert_close(delta, fresh)
+
+
 class TestDeltaProbe:
     def test_probe_matches_estimate_delta(self, base):
         target = {name: value * (1.3 if name == "INV_X1" else 1.0)
@@ -198,6 +224,14 @@ class TestRoundTrip:
         roundtrip = estimate_delta(restored, edit)
         assert math.isclose(roundtrip.mean, original.mean, rel_tol=1e-12)
         assert math.isclose(roundtrip.std, original.std, rel_tol=1e-9)
+
+    def test_rejects_schema_1_artifact(self, base, small_characterization):
+        """Version 1 stored ``rho`` over the full signed lag lattice;
+        its layout no longer matches, so import refuses it."""
+        document = dict(base.to_dict(), schema_version=1)
+        with pytest.raises(EstimationError, match="schema v1"):
+            BaseEstimate.from_dict(document,
+                                   characterization=small_characterization)
 
     def test_loads_artifact_with_backend_entry(self, base,
                                                small_characterization):

@@ -12,7 +12,6 @@ The contract asserted here (and stated in ``docs/OBSERVABILITY.md``):
   flagged remote.
 """
 
-import math
 import sys
 
 import pytest

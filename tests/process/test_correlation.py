@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import CorrelationError
+from repro.process import correlation as correlation_module
 from repro.process import (
+    AnisotropicCorrelation,
     CompositeCorrelation,
     ExponentialCorrelation,
     GaussianCorrelation,
@@ -14,6 +17,7 @@ from repro.process import (
     SphericalCorrelation,
     TotalCorrelation,
 )
+from repro.process.correlation import ScaledCorrelation, SpatialCorrelation
 
 ALL_FAMILIES = [
     ExponentialCorrelation(1e-3),
@@ -144,3 +148,51 @@ def test_exponential_is_multiplicative_in_distance(length, d1, d2):
     corr = ExponentialCorrelation(length)
     assert float(corr(d1 + d2)) == pytest.approx(
         float(corr(d1)) * float(corr(d2)), rel=1e-9)
+
+
+#: One instance per concrete model; the anisotropic one has unequal
+#: scales so a metric that mixed the axes' signs would show.
+EVEN_MODELS = {
+    ExponentialCorrelation: ExponentialCorrelation(1e-3),
+    GaussianCorrelation: GaussianCorrelation(1e-3),
+    LinearCorrelation: LinearCorrelation(2e-3),
+    SphericalCorrelation: SphericalCorrelation(2e-3),
+    CompositeCorrelation: CompositeCorrelation(
+        [ExponentialCorrelation(0.3e-3), SphericalCorrelation(2e-3)],
+        [0.25, 0.75]),
+    AnisotropicCorrelation: AnisotropicCorrelation(
+        GaussianCorrelation(1e-3), scale_x=2.0, scale_y=0.5),
+    TotalCorrelation: TotalCorrelation(
+        ExponentialCorrelation(1e-3),
+        ProcessParameter("L", 50e-9, 1.5e-9, 2.0e-9)),
+    ScaledCorrelation: ScaledCorrelation(GaussianCorrelation(1e-3), 0.6),
+}
+
+
+def _concrete_models(cls=SpatialCorrelation):
+    for sub in cls.__subclasses__():
+        if (sub.__module__ == correlation_module.__name__
+                and not inspect.isabstract(sub)):
+            yield sub
+        yield from _concrete_models(sub)
+
+
+class TestEvenInEachComponent:
+    """The ``evaluate_xy`` contract the eq. (17) quadrant fold needs:
+    ``rho(-dx, dy) == rho(dx, -dy) == rho(dx, dy)``, bit for bit."""
+
+    def test_every_concrete_model_has_an_instance(self):
+        assert set(_concrete_models()) == set(EVEN_MODELS)
+
+    @pytest.mark.parametrize("cls", list(EVEN_MODELS),
+                             ids=lambda c: c.__name__)
+    def test_reflections_are_bit_identical(self, cls):
+        correlation = EVEN_MODELS[cls]
+        dx = np.linspace(-3e-3, 3e-3, 37)[:, None]
+        dy = np.arange(-7, 8)[None, :] * 1.7e-4
+        rho = correlation.evaluate_xy(dx, dy)
+        assert np.array_equal(correlation.evaluate_xy(-dx, dy), rho)
+        assert np.array_equal(correlation.evaluate_xy(dx, -dy), rho)
+        if cls is AnisotropicCorrelation:
+            assert not np.array_equal(correlation.evaluate_xy(dy.T, dx.T),
+                                      rho.T)

@@ -10,6 +10,11 @@ Three independent checks pin the solver (``docs/THERMAL.md``):
 * **Zero-resistance limit** — with feedback enabled but every thermal
   resistance at (or near) zero, the fixed point *is* the uniform
   ambient: one iteration, zero residual, bit-identical moments.
+* **Spreading kernel** — the lateral operator's response to a point
+  source equals the direct sum ``R_sp e^{-d/lambda} / norm`` over the
+  site-centre distances of :meth:`FullChipModel.site_positions`, on a
+  grid whose pitches differ (the Monte-Carlo oracle shares the
+  operator, so it cannot see an axis mix-up).
 * **Monte Carlo** — a seeded per-sample self-consistent chip MC
   (:func:`repro.thermal.coupled_monte_carlo` draws every site's
   mixture component and channel length, then runs the *same*
@@ -22,9 +27,12 @@ Three independent checks pin the solver (``docs/THERMAL.md``):
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.analysis.temperature import temperature_sweep
+from repro.core import FullChipModel
 from repro.thermal import ThermalConfig, coupled_monte_carlo
+from repro.thermal.model import ThermalOperator
 
 #: One seed for the whole module: every draw below is reproducible.
 SEED = 20070604
@@ -89,6 +97,35 @@ class TestZeroResistanceLimit:
         assert doc["delta_t_max"] < 1e-6
         assert np.isclose(coupled.mean, plain.mean, rtol=1e-6)
         assert np.isclose(coupled.std, plain.std, rtol=1e-6)
+
+
+class TestSpreadingKernel:
+    @pytest.mark.parametrize("source", [(0, 0), (2, 5), (4, 1)])
+    def test_point_source_matches_direct_distance_sum(self, source):
+        rows, cols = 5, 8
+        pitch_x, pitch_y = 20e-6, 70e-6
+        chip = FullChipModel(n_cells=rows * cols, width=cols * pitch_x,
+                             height=rows * pitch_y, rows=rows, cols=cols)
+        config = ThermalConfig(package_resistance=0.0,
+                               spreading_resistance=0.8,
+                               spreading_length=60e-6)
+        theta = ThermalOperator(rows, cols, chip.pitch_x, chip.pitch_y,
+                                config)
+        power = np.zeros((rows, cols))
+        power[source] = 1.0
+        rise = theta.apply(power)
+
+        positions = chip.site_positions()
+        lag_x = np.arange(1 - cols, cols) * pitch_x
+        lag_y = np.arange(1 - rows, rows) * pitch_y
+        norm = np.exp(-np.hypot(lag_x[:, None], lag_y[None, :])
+                      / config.spreading_length).sum()
+        distance = np.linalg.norm(
+            positions - positions[source[0] * cols + source[1]], axis=1)
+        want = (config.spreading_resistance
+                * np.exp(-distance / config.spreading_length) / norm)
+        np.testing.assert_allclose(rise.ravel(), want, rtol=1e-9,
+                                   atol=1e-12 * want.max())
 
 
 class TestMonteCarloOracle:
