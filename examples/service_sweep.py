@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
 """Corner and geometry sweeps through the estimation service.
 
-A signoff flow rarely asks one question: it sweeps temperature corners,
-die floorplans, and usage mixes around a baseline. This example runs
-the same 12-point corner x die grid two ways:
+A signoff flow sweeps temperature corners, die floorplans, and usage
+mixes around a baseline. This example runs one 12-point corner x die
+grid two ways:
 
-* **per-request path** — one ``estimate`` call per point, the way a
-  driver script would loop. Each point is a separate job: its own
-  submission, queue slot, and deadline; the content-addressed cache
-  still amortizes the upstream tiers (one characterization per corner,
-  one Random-Gate bundle per mix).
-* **batched ``/v1/sweep``** — the whole grid as *one* job. The server
-  expands the cartesian product itself, runs every point through the
-  identical pipeline (results are bit-identical to the loop), and
-  back-fills the estimate tier — later single-point requests hit a
-  warm cache for free.
+* **per-request path** — one ``estimate`` call per point: a job, queue
+  slot and deadline each; the cache still shares one characterization
+  per corner.
+* **batched ``/v1/sweep``** — the whole grid as *one* job. Points the
+  estimate tier lacks go to one call of the batched sweep engine
+  (``repro.core.sweep``): one lag kernel per floorplan, one Random-Gate
+  mixture per mix. Results are bit-identical to the loop, ``stats``
+  counts the shared work, and each point back-fills the estimate tier.
 
-The same sweep against a running ``repro serve`` instance is one
-substitution (``RemoteClient`` for ``ServiceClient``); the request
-document is what ``POST /v1/sweep`` accepts on the wire.
+Against a running ``repro serve`` use ``RemoteClient`` instead of
+``ServiceClient``; the request document is what ``POST /v1/sweep``
+accepts.
 
 Run:  python examples/service_sweep.py
 """
@@ -87,6 +85,15 @@ def main():
              ["batched /v1/sweep", "1", f"{t_sweep:.3f}",
               f"{t_sweep / n * 1e3:.1f}"]],
             title="Same grid, same results — amortized latency"))
+
+        # -- the engine's shared-work ledger ---------------------------
+        ledger = {key: value for key, value in response.stats.items()
+                  if key != "trace"}
+        print(format_table(
+            ["counter", "value"],
+            [[key, f"{value:.4g}" if isinstance(value, float)
+              else str(value)] for key, value in ledger.items()],
+            title="Sweep stats ledger"))
 
         # -- backfill: any grid point is now an estimate-tier hit ------
         start = time.perf_counter()

@@ -39,6 +39,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -530,7 +531,8 @@ def _build_components(spec: "_SweepSpec", characterization, usage, p,
         state_weights=spec.state_weights)
 
 
-def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
+def _evaluate_points(spec: _SweepSpec, indices: Sequence[int],
+                     checkpoint: Optional[Callable[[], None]] = None
                      ) -> Tuple[List[LeakageEstimate], Dict[str, int]]:
     """Serial staged evaluation of the given grid points.
 
@@ -538,8 +540,12 @@ def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
     exactly the array operations of
     ``FullChipLeakageEstimator(...).estimate(method)``, with the
     geometry-only and parameter-only stages computed once per distinct
-    value instead of once per point.
+    value instead of once per point. ``checkpoint`` (when given) is
+    called before each geometry's kernel pass and before each point; it
+    stops the sweep by raising.
     """
+    if checkpoint is None:
+        checkpoint = _no_checkpoint
     stats: Dict[str, int] = {"points": len(indices)}
     chip_cache: Dict[Tuple[Any, ...], FullChipModel] = {}
     geometry_cache: Dict[Tuple[Any, ...], LagGeometry] = {}
@@ -577,6 +583,7 @@ def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
     # correlation models its points use.
     with span("sweep.kernels", n_geometries=len(rho_needs)):
         for geometry_key, correlations in rho_needs.items():
+            checkpoint()
             geometry = LagGeometry(*geometry_key)
             geometry_cache[geometry_key] = geometry
             for corr_key, rho in _batched_lag_rho(geometry, correlations,
@@ -587,6 +594,7 @@ def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
     with span("sweep.points", n_points=len(resolved)):
         for (characterization, usage, n_cells, width, height, p,
              correlation, chip, method, thermal) in resolved:
+            checkpoint()
             components_key = (id(characterization), _usage_key(usage), p,
                               spec.simplified_correlation,
                               id(spec.state_weights)
@@ -638,6 +646,10 @@ def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
     return estimates, stats
 
 
+def _no_checkpoint() -> None:
+    pass
+
+
 def _sweep_group_worker(task, arrays, payload):
     """parallel_map worker: evaluate one geometry group of points."""
     indices = task
@@ -662,6 +674,7 @@ def run_sweep(
     tolerance: float = 0.0,
     trace: bool = False,
     thermal=None,
+    checkpoint: Optional[Callable[[], None]] = None,
 ) -> SweepResult:
     """Evaluate the full cartesian grid of the given axes.
 
@@ -670,6 +683,11 @@ def run_sweep(
     run (spans propagate across ``parallel_map`` workers) and attaches
     the document as :attr:`SweepResult.trace`; estimates are
     bit-identical either way.
+
+    ``checkpoint`` is the service's cooperative cancel/deadline hook: a
+    serial run calls it before each geometry's kernel pass and before
+    each point, a fanned-out run once before dispatch. It aborts the
+    sweep by raising, so a grid is returned whole or not at all.
     """
     axes = tuple(axes)
     if not axes:
@@ -717,10 +735,11 @@ def run_sweep(
         with tracer:
             with tracer.span("core/api.estimate_sweep",
                              n_points=len(configs)):
-                estimates, stats = _execute_grid(spec, configs, n_jobs)
+                estimates, stats = _execute_grid(spec, configs, n_jobs,
+                                                 checkpoint)
         trace_document = tracer.export()
     else:
-        estimates, stats = _execute_grid(spec, configs, n_jobs)
+        estimates, stats = _execute_grid(spec, configs, n_jobs, checkpoint)
         trace_document = None
 
     return SweepResult(
@@ -734,8 +753,8 @@ def run_sweep(
 
 
 def _execute_grid(spec: _SweepSpec, configs: Sequence[Mapping[str, Any]],
-                  n_jobs: int) -> Tuple[List[LeakageEstimate],
-                                        Dict[str, int]]:
+                  n_jobs: int, checkpoint: Optional[Callable[[], None]]
+                  ) -> Tuple[List[LeakageEstimate], Dict[str, int]]:
     """Evaluate every grid point, fanning geometry groups out to workers."""
     n_jobs = resolve_n_jobs(n_jobs)
     groups: List[List[int]] = []
@@ -750,6 +769,8 @@ def _execute_grid(spec: _SweepSpec, configs: Sequence[Mapping[str, Any]],
         groups = list(by_chip.values())
 
     if n_jobs > 1 and len(groups) > 1:
+        if checkpoint is not None:
+            checkpoint()
         results = parallel_map(_sweep_group_worker, groups, payload=spec,
                                n_jobs=n_jobs)
         estimates: List[Optional[LeakageEstimate]] = [None] * len(configs)
@@ -761,5 +782,6 @@ def _execute_grid(spec: _SweepSpec, configs: Sequence[Mapping[str, Any]],
                 stats[key] = stats.get(key, 0) + int(value)
         stats["fanout_groups"] = len(groups)
     else:
-        estimates, stats = _evaluate_points(spec, range(len(configs)))
+        estimates, stats = _evaluate_points(spec, range(len(configs)),
+                                            checkpoint)
     return estimates, stats

@@ -31,7 +31,7 @@ Design rules:
 
 Span naming convention (see ``docs/OBSERVABILITY.md`` for the full
 catalog): ``<layer>.<stage>`` — e.g. ``linear.kernel``, ``exact.fft``,
-``sweep.point``, ``service.cache_lookup``. The root span is named after
+``sweep.points``, ``service.cache_lookup``. The root span is named after
 the operation (``core/api.estimate``, ``core/api.estimate_sweep``,
 ``service.request``).
 """

@@ -110,6 +110,11 @@ class TechnologyConfig:
         if self.sigma_l <= 0:
             raise ConfigurationError(
                 f"sigma_l must be positive, got {self.sigma_l!r}")
+        if self.temperature_c is not None \
+                and not self.temperature_c + 273.15 > 0:
+            raise ConfigurationError(
+                "temperature_c must be above absolute zero, got "
+                f"{self.temperature_c!r}")
 
     def build(self):
         """Construct the :class:`~repro.process.technology.Technology`."""

@@ -38,7 +38,7 @@ import logging
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cells.library import build_library
 from repro.characterization.characterizer import characterize_library
@@ -48,6 +48,7 @@ from repro.characterization.store import (
 )
 from repro.core.api import FullChipLeakageEstimator, LeakageEstimate, \
     RGComponents
+from repro.core.sweep import SweepAxis, run_sweep
 from repro.core.usage import CellUsage
 from repro.obs import (
     Tracer,
@@ -257,8 +258,8 @@ class EstimationPipeline:
         with self._ewma_lock:
             return self._exact_seconds_ewma
 
-    def _would_blow_deadline(self, request: EstimateRequest,
-                             job: Optional[Job]) -> bool:
+    def _would_blow_deadline(self, job: Optional[Job],
+                             n_points: int) -> bool:
         """Pre-empt an exact run that is predicted to miss its deadline."""
         if job is None:
             return False
@@ -269,19 +270,88 @@ class EstimationPipeline:
             return True
         predicted = self._predicted_exact_seconds()
         return (predicted is not None
-                and remaining < predicted * self.degrade_safety)
+                and remaining < predicted * n_points * self.degrade_safety)
 
-    def _degraded_estimate(self, estimator: FullChipLeakageEstimator,
-                           request: EstimateRequest, reason: str,
-                           reason_label: str) -> LeakageEstimate:
-        with span("degraded", reason=reason_label):
-            estimate = estimator.estimate(FALLBACK_METHOD)
+    def _estimate_stage(self, request: EstimateRequest, job: Optional[Job],
+                        compute: Callable[[], Any],
+                        fallback: Callable[[str], Any],
+                        n_points: int = 1) -> Tuple[Any, bool]:
+        """Run ``compute()`` under the estimate policy; ``(result,
+        degraded)``.
+
+        One policy for single requests and sweep jobs alike: the
+        ``compute.hang`` site fires once per call, an exact run predicted
+        to miss the deadline is pre-empted, the exact-duration EWMA is
+        kept per point, and a failing or deadline-starved exact run that
+        may degrade is answered by ``fallback(reason)`` — the RG closed
+        form — as a whole: a sweep never mixes exact and fallback points.
+        """
+        may_degrade = request.method == "exact" and request.allow_degraded
+        if may_degrade and self._would_blow_deadline(job, n_points):
+            reason = ("deadline too tight for the exact engine "
+                      "(predicted to exceed it)")
+            label = "deadline_predicted"
+        else:
+            try:
+                if self._faults is not None:
+                    self._faults.hang(SITE_COMPUTE_HANG)
+                self._heartbeat(job)
+                stage_start = time.perf_counter()
+                result = compute()
+                if request.method == "exact":
+                    self._note_exact_duration(
+                        (time.perf_counter() - stage_start) / n_points)
+                return result, False
+            except JobCancelledError:
+                raise  # an explicit cancel is never answered degraded
+            except JobTimeoutError:
+                if not may_degrade:
+                    raise
+                reason = ("deadline exceeded before the exact engine "
+                          "finished")
+                label = "deadline"
+            except Exception as exc:  # noqa: BLE001 - degradation boundary
+                if not may_degrade:
+                    raise
+                reason = f"exact engine failed: {type(exc).__name__}: {exc}"
+                label = "exact_failed"
+        with span("degraded", reason=label):
+            result = fallback(reason)
         if self._degraded_total is not None:
-            self._degraded_total.inc(reason=reason_label)
+            self._degraded_total.inc(reason=label)
+        return result, True
+
+    @staticmethod
+    def _mark_degraded(estimate: LeakageEstimate, request: EstimateRequest,
+                       reason: str) -> LeakageEstimate:
         return estimate.with_details(
             degraded=True,
             degradation_reason=reason,
             requested_method=request.method)
+
+    def _store_estimates(self, entries) -> None:
+        """Write ``(key, estimate)`` pairs to the estimate tier."""
+        with span("serialize"):
+            payloads = [estimate.to_dict() for _, estimate in entries]
+        with span("cache_store", tier=TIER_ESTIMATE):
+            for (key, estimate), payload in zip(entries, payloads):
+                self.cache.put(TIER_ESTIMATE, key, estimate, payload=payload)
+
+    def _count_computed(self, estimates) -> None:
+        if self._requests is not None:
+            self._requests.inc(len(estimates), outcome="computed")
+        for estimate in estimates:
+            thermal_doc = estimate.details.get("thermal")
+            if thermal_doc is None:
+                continue
+            if self._thermal_requests is not None:
+                self._thermal_requests.inc(
+                    outcome="coupled" if thermal_doc.get("feedback")
+                    else "open_loop")
+            if (self._thermal_iterations is not None
+                    and thermal_doc.get("feedback")):
+                self._thermal_iterations.observe(
+                    float(thermal_doc.get("iterations", 0)))
 
     # -- entry point ------------------------------------------------------
 
@@ -293,7 +363,10 @@ class EstimationPipeline:
     SERVICE_STAGES = (
         "service.request", "service.sweep", "service.whatif", "queue_wait",
         "cache_lookup", "cache_store", "characterize", "rg", "estimate",
-        "degraded", "serialize", "sweep.point",
+        "degraded", "serialize",
+        # Sweep-engine stages (core/sweep.py): point resolution, the
+        # per-geometry kernel passes, RG builds and the per-point loop.
+        "sweep.resolve", "sweep.kernels", "sweep.rg", "sweep.points",
         # Delta-path stages (the what-if protocol): base snapshotting
         # and the incremental update halves.
         "delta.base_estimate", "delta.base_mixture", "delta.base_moments",
@@ -344,9 +417,8 @@ class EstimationPipeline:
     def __call__(self, request: EstimateRequest,
                  job: Optional[Job] = None) -> LeakageEstimate:
         if tracing_active():
-            # Nested under an outer tracer (a sweep, or a caller's own
-            # trace): record spans into it and let the outer layer
-            # export once.
+            # Nested under a caller's own tracer: record spans into it
+            # and let the outer layer export once.
             return self._run(request, job)
         tracer = Tracer("service.request")
         with tracer:
@@ -390,68 +462,25 @@ class EstimationPipeline:
             request.height_mm * 1e-3,
             components=components)
 
-        may_degrade = request.method == "exact" and request.allow_degraded
-        estimate = None
-        degraded_reason = None
-        degraded_label = None
-        if may_degrade and self._would_blow_deadline(request, job):
-            degraded_reason = ("deadline too tight for the exact engine "
-                               "(predicted to exceed it)")
-            degraded_label = "deadline_predicted"
-        else:
-            try:
-                if self._faults is not None:
-                    self._faults.hang(SITE_COMPUTE_HANG)
-                self._heartbeat(job)
-                stage_start = time.perf_counter()
-                with span("estimate", method=request.method,
-                          n_cells=request.n_cells):
-                    estimate = estimator.estimate(
-                        request.method, n_jobs=request.n_jobs,
-                        tolerance=request.tolerance,
-                        thermal=request.thermal)
-                if request.method == "exact":
-                    self._note_exact_duration(
-                        time.perf_counter() - stage_start)
-            except JobCancelledError:
-                raise  # an explicit cancel is never answered degraded
-            except JobTimeoutError:
-                if not may_degrade:
-                    raise
-                degraded_reason = ("deadline exceeded before the exact "
-                                   "engine finished")
-                degraded_label = "deadline"
-            except Exception as exc:  # noqa: BLE001 - degradation boundary
-                if not may_degrade:
-                    raise
-                degraded_reason = (f"exact engine failed: "
-                                   f"{type(exc).__name__}: {exc}")
-                degraded_label = "exact_failed"
+        def compute() -> LeakageEstimate:
+            with span("estimate", method=request.method,
+                      n_cells=request.n_cells):
+                return estimator.estimate(
+                    request.method, n_jobs=request.n_jobs,
+                    tolerance=request.tolerance, thermal=request.thermal)
 
-        if degraded_reason is not None:
-            estimate = self._degraded_estimate(
-                estimator, request, degraded_reason, degraded_label)
+        estimate, degraded = self._estimate_stage(
+            request, job, compute,
+            lambda reason: self._mark_degraded(
+                estimator.estimate(FALLBACK_METHOD), request, reason))
+        if degraded:
             # Never cached: the entry for this key must only ever hold
             # the true exact answer.
             if self._requests is not None:
                 self._requests.inc(outcome="degraded")
         else:
-            with span("serialize"):
-                payload = estimate.to_dict()
-            with span("cache_store", tier=TIER_ESTIMATE):
-                self.cache.put(TIER_ESTIMATE, key, estimate, payload=payload)
-            if self._requests is not None:
-                self._requests.inc(outcome="computed")
-            thermal_doc = estimate.details.get("thermal")
-            if thermal_doc is not None:
-                if self._thermal_requests is not None:
-                    self._thermal_requests.inc(
-                        outcome="coupled" if thermal_doc.get("feedback")
-                        else "open_loop")
-                if (self._thermal_iterations is not None
-                        and thermal_doc.get("feedback")):
-                    self._thermal_iterations.observe(
-                        float(thermal_doc.get("iterations", 0)))
+            self._store_estimates([(key, estimate)])
+            self._count_computed([estimate])
         if self._request_seconds is not None:
             self._request_seconds.observe(time.perf_counter() - start,
                                           method=estimate.method)
@@ -463,46 +492,114 @@ class EstimationPipeline:
               job: Optional[Job] = None) -> SweepResponse:
         """Run a whole parameter grid as one job.
 
-        Each point executes through :meth:`_run` — the identical
-        code path a standalone request takes — so per-point results are
-        bit-identical to single-point requests while the cache tiers
-        amortize the shared work (one characterization per distinct
-        technology, one RG bundle per distinct usage/probability, and an
-        estimate-tier entry per point, leaving the cache warm for later
-        single-point requests). The job's cooperative deadline/cancel
-        hook is polled between points.
+        Grid points already in the estimate tier are served from it;
+        every miss goes to **one** :func:`repro.core.sweep.run_sweep`
+        call, which shares the geometry-only work (lag histogram, ``rho``
+        at the lags) and the parameter-only work (RG mixtures) across the
+        grid, and each computed point is then backfilled into the
+        estimate tier so later single-point requests hit. Points are
+        bit-identical to standalone requests. The job's cooperative
+        deadline/cancel hook is polled inside the engine, and the
+        estimate policy of :meth:`_estimate_stage` applies to the sweep as
+        one job. ``stats`` carries the engine's shared-work counters.
         """
         start = time.perf_counter()
         points = request.expand()
-        estimates = []
         tracer = Tracer("service.sweep")
         with tracer:
             with tracer.span("service.sweep", n_points=len(points)):
-                for point in points:
-                    self._heartbeat(job)
-                    point_start = time.perf_counter()
-                    with span("sweep.point"):
-                        estimates.append(self._run(point, job))
-                    if self._sweep_point_seconds is not None:
-                        self._sweep_point_seconds.observe(
-                            time.perf_counter() - point_start)
+                estimates, stats = self._sweep_grid(request.base, points,
+                                                    job)
         document = self._finish_trace(tracer, job, "sweep")
+        elapsed = time.perf_counter() - start
         if self._sweep_jobs is not None:
             self._sweep_jobs.inc()
         if self._sweep_points is not None:
             self._sweep_points.inc(len(points))
-        elapsed = time.perf_counter() - start
-        stats = {
-            "points": len(points),
-            "seconds": elapsed,
-            "seconds_per_point": elapsed / len(points),
-        }
+        if self._sweep_point_seconds is not None:
+            self._sweep_point_seconds.observe(elapsed / len(points))
+        stats.update(points=len(points), seconds=elapsed,
+                     seconds_per_point=elapsed / len(points))
         if request.base.trace:
             stats["trace"] = document
         return SweepResponse(
             axes=request.axes,
             estimates=estimates,
             stats=stats)
+
+    def _sweep_grid(self, base: EstimateRequest, points,
+                    job: Optional[Job]):
+        """``(estimates, engine stats)`` for the expanded grid; the
+        engine counts only the points it computed."""
+        keys = [point.key() for point in points]
+        estimates = []
+        with span("cache_lookup", tier=TIER_ESTIMATE):
+            for key, point in zip(keys, points):
+                self._record_base(key, point)
+                estimates.append(self.cache.get(
+                    TIER_ESTIMATE, key, revive=LeakageEstimate.from_dict))
+        misses = [index for index, estimate in enumerate(estimates)
+                  if estimate is MISS]
+        if self._requests is not None and len(misses) < len(points):
+            self._requests.inc(len(points) - len(misses), outcome="cached")
+        if not misses:
+            return estimates, {}
+
+        # One engine axis with one override mapping per missing point:
+        # the engine dedups geometries, kernels and RG mixtures itself.
+        # No axis varies the characterization mode or cell subset, so
+        # the technology alone tells the grid's characterizations apart.
+        characterizations: Dict[Any, Any] = {}
+        overrides = []
+        for index in misses:
+            point = points[index]
+            characterization = characterizations.get(point.technology)
+            if characterization is None:
+                self._heartbeat(job)
+                characterization = self._characterization(
+                    point, point.technology.build())
+                characterizations[point.technology] = characterization
+            overrides.append({
+                "characterization": characterization,
+                "usage": self._usage(point, characterization),
+                "n_cells": point.n_cells,
+                "width": point.width_mm * 1e-3,
+                "height": point.height_mm * 1e-3,
+                "signal_probability": point.signal_probability,
+            })
+        axis = SweepAxis(name="point", values=tuple(misses),
+                         overrides=tuple(overrides))
+
+        def engine(method, thermal, checkpoint):
+            result = run_sweep(
+                None, None, base.n_cells, base.width_mm * 1e-3,
+                base.height_mm * 1e-3, axes=(axis,), method=method,
+                simplified_correlation=base.simplified_correlation,
+                tolerance=base.tolerance, thermal=thermal, n_jobs=1,
+                checkpoint=checkpoint)
+            return result.estimates, result.stats
+
+        def fallback(reason):
+            fallbacks, stats = engine(FALLBACK_METHOD, None, None)
+            return [self._mark_degraded(estimate, base, reason)
+                    for estimate in fallbacks], stats
+
+        (computed, stats), degraded = self._estimate_stage(
+            base, job,
+            lambda: engine(base.method, base.thermal,
+                           None if job is None else job.check_alive),
+            fallback, n_points=len(misses))
+        for index, estimate in zip(misses, computed):
+            estimates[index] = estimate
+        if degraded:
+            # A degraded grid is never cached, like a degraded request.
+            if self._requests is not None:
+                self._requests.inc(len(misses), outcome="degraded")
+        else:
+            self._store_estimates([(keys[index], estimates[index])
+                                   for index in misses])
+            self._count_computed(computed)
+        return estimates, stats
 
     # -- what-if (delta) requests ------------------------------------------
 

@@ -4,17 +4,21 @@ A :class:`SweepRequest` is a base :class:`~repro.service.jobs.EstimateRequest`
 plus one or more axes, each varying a single request field over a list
 of values. The request expands into the full cartesian grid of derived
 single-point requests (C-order, first axis slowest) and runs as **one**
-scheduler job: one queue slot, one deadline, one coalescing key — while
-every point still flows through the regular
-:class:`~repro.service.pipeline.EstimationPipeline`, so
+scheduler job: one queue slot, one deadline, one coalescing key.
+:meth:`~repro.service.pipeline.EstimationPipeline.sweep` serves the
+grid points already in the estimate tier and sends the rest through one
+call of the batched sweep engine (:mod:`repro.core.sweep`), so
 
 * each point's estimate is bit-identical to what a standalone
-  ``POST /v1/estimate`` for the derived request would return, and
-* every artifact tier amortizes automatically: points sharing a
-  technology share one characterization, points sharing usage and
-  signal probability share one Random-Gate bundle, and each point's
-  final estimate lands in the estimate tier — later single-point
+  ``POST /v1/estimate`` for the derived request would return,
+* the grid shares its work: one characterization per technology, one
+  lag-kernel pass per floorplan, one Random-Gate bundle per usage and
+  signal probability, and
+* each computed point lands in the estimate tier — later single-point
   requests for any grid point hit a warm cache.
+
+Every axis value is checked against the base request at construction,
+so a bad value is a client error, never a failed job.
 
 Axes address exactly the fields a planner sweeps (see
 ``docs/SERVICE.md``): ``n_cells``, ``die`` (``[w_mm, h_mm]`` pairs),
@@ -170,6 +174,12 @@ class SweepRequest:
             raise ConfigurationError(
                 f"sweep grid has {points} points; the limit is "
                 f"{MAX_SWEEP_POINTS} (split the sweep)")
+        # Axes set disjoint request fields, so a value the base rejects
+        # is rejected at every grid point: checking each value against
+        # the base alone answers a bad value with a 400 at parse time.
+        for axis in axes:
+            for value in axis.values:
+                axis.apply(base, value)
         object.__setattr__(self, "priority", int(self.priority))
 
     @property

@@ -238,6 +238,29 @@ class TestHttpSweep:
         detail = json.loads(excinfo.value.read())
         assert "unknown sweep axis" in detail["error"]
 
+    @pytest.mark.parametrize("axis, message", [
+        ({"name": "signal_probability", "values": [0.5, 1.5]},
+         "signal_probability"),
+        ({"name": "n_cells", "values": [0]}, "n_cells"),
+        ({"name": "die", "values": [[0.5, 0.5], [-0.5, 0.5]]},
+         "die dimensions"),
+        ({"name": "usage", "values": [{"INV_X1": -0.5, "NAND2_X1": 1.5}]},
+         "non-negative"),
+        ({"name": "sigma_l", "values": [0.05, -0.01]}, "sigma_l"),
+        ({"name": "temperature_c", "values": [25.0, -300.0]},
+         "absolute zero"),
+    ])
+    def test_bad_axis_value_is_client_error(self, server, axis, message):
+        """A value the base would reject is a 400 at parse time, not a
+        queued job that fails in the worker."""
+        body = dict(SWEEP_BODY, axes=[axis])
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(server, "/v1/sweep", body)
+        assert excinfo.value.code == 400
+        detail = json.loads(excinfo.value.read())
+        assert detail["kind"] == "bad_request"
+        assert message in detail["error"]
+
     def test_async_flow(self, server):
         body = dict(SWEEP_BODY, **{"async": True})
         status, document = post(server, "/v1/sweep", body)
