@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from repro.exceptions import CorrelationError, EstimationError
 from repro.obs import span
@@ -446,15 +447,32 @@ def _lag_correlation(grid: GridInfo,
         return correlation.evaluate_xy(dj[None, :], di[:, None])
 
 
-def _lag_crosscorr(spectrum_a: np.ndarray, spectrum_b: np.ndarray,
-                   rows: int, cols: int) -> np.ndarray:
-    """Cross-correlation ``sum_rc A[r, c] B[r+di, c+dj]`` for all lags,
-    from precomputed ``rfft2`` spectra padded to ``(2*rows, 2*cols)``.
+def lattice_fft_shape(rows: int, cols: int) -> Tuple[int, int]:
+    """FFT shape for a linear convolution or cross-correlation of two
+    ``rows x cols`` lattice grids: the smallest 2/3/5-smooth length
+    ``>= 2n - 1`` on each axis.
 
-    Output is aligned with :func:`_lag_correlation`.
+    ``2n - 1`` is the number of distinct lags, so every lag lands on
+    its own bin of the circular product (no wrap-around aliasing); a
+    5-smooth length keeps pocketfft on its fast radix kernels.
     """
-    circular = np.fft.irfft2(np.conj(spectrum_a) * spectrum_b,
-                             s=(2 * rows, 2 * cols))
+    return (next_fast_len(2 * rows - 1, real=True),
+            next_fast_len(2 * cols - 1, real=True))
+
+
+def _lag_crosscorr(spectrum_a: np.ndarray, spectrum_b: np.ndarray,
+                   rows: int, cols: int,
+                   shape: Tuple[int, int]) -> np.ndarray:
+    """Cross-correlation ``sum_rc A[r, c] B[r+di, c+dj]`` for all lags,
+    from precomputed ``rfft2`` spectra padded to ``shape``
+    (:func:`lattice_fft_shape`).
+
+    Lag ``d`` sits at circular index ``d mod N``; since ``N >= 2n - 1``
+    the ``2n - 1`` lags occupy distinct bins, and rolling by
+    ``(rows - 1, cols - 1)`` brings them to the front in order. Output
+    is aligned with :func:`_lag_correlation`.
+    """
+    circular = np.fft.irfft2(np.conj(spectrum_a) * spectrum_b, s=shape)
     rolled = np.roll(circular, (rows - 1, cols - 1), axis=(0, 1))
     return rolled[: 2 * rows - 1, : 2 * cols - 1]
 
@@ -482,7 +500,7 @@ def lagsum_variance(
     """
     rows, cols = grid.rows, grid.cols
     rho = _lag_correlation(grid, correlation)
-    shape = (2 * rows, 2 * cols)
+    shape = lattice_fft_shape(rows, cols)
 
     if pair_params is None:
         with span("exact.sigma_grid"):
@@ -491,7 +509,7 @@ def lagsum_variance(
                       corr_stds)
         with span("exact.fft", shape=f"{shape[0]}x{shape[1]}"):
             spectrum = np.fft.rfft2(sigma_grid, s=shape)
-            auto = _lag_crosscorr(spectrum, spectrum, rows, cols)
+            auto = _lag_crosscorr(spectrum, spectrum, rows, cols, shape)
         with span("exact.reduce"):
             variance = float((auto * rho).sum())
             variance += float((stds ** 2).sum() - (corr_stds ** 2).sum())
@@ -525,8 +543,8 @@ def lagsum_variance(
             for u in range(t, n_types):
                 au, hu, ku = params[u]
                 weight = 1.0 if u == t else 2.0
-                multiplicity = np.rint(
-                    _lag_crosscorr(spectra[t], spectra[u], rows, cols))
+                multiplicity = np.rint(_lag_crosscorr(
+                    spectra[t], spectra[u], rows, cols, shape))
                 if active is None:
                     cross = _pair_cross_moment(at, ht, kt, au, hu, ku,
                                                rho)

@@ -620,20 +620,21 @@ class _FrontHandler(BaseHTTPRequestHandler):
     def _routing_key(path: str, document: Dict[str, Any]) -> str:
         """The content key a submission routes by.
 
-        What-ifs route by their ``base`` hash — the same key as the
-        estimate that recorded the base — so a base recorded on a
-        replica is found by every later delta against it. Estimates and
-        sweeps route by their own content hash (identical requests
-        coalesce replica-side). Unparseable bodies route by a stable
+        Sweeps and estimates route by their own content hash (identical
+        requests coalesce replica-side); a sweep's ``base`` is its base
+        request, so the sweep path is tested first. What-ifs route by
+        their ``base`` hash — the same key as the estimate that
+        recorded the base — so a base recorded on a replica is found by
+        every later delta against it. Unparseable bodies route by a stable
         hash of the raw document — the replica owns rejecting them.
         """
         body = {key: value for key, value in document.items()
                 if key not in ("timeout", "async")}
         try:
-            if "base" in body:
-                return str(body["base"])
             if path == "/v1/sweep":
                 return SweepRequest.from_dict(body).key()
+            if "base" in body:
+                return str(body["base"])
             return EstimateRequest.from_dict(body).key()
         except Exception:  # noqa: BLE001 - route bad bodies stably
             canonical = json.dumps(document, sort_keys=True, default=str)

@@ -10,7 +10,7 @@ temperature*. Two engines provide them:
   Function of Temperature?" shows leakage is near-linear over
   operating-range windows of a few kelvin, which is exactly the
   per-segment span here; the residual curvature error is bounded and
-  asserted in ``benchmarks/bench_thermal.py`` (see ``docs/THERMAL.md``).
+  asserted in ``tests/thermal`` (see ``docs/THERMAL.md``).
 * **full** — re-characterize the library at *every distinct site
   temperature* (quantized to ``full_quantization`` kelvin) on every
   call. Exact up to the quantization step, and the accuracy yardstick
@@ -40,8 +40,8 @@ from repro.obs import span
 #: Documented accuracy bound of the fast path: at the default
 #: ``anchor_spacing`` (2 K), the piecewise-linear RG moments stay within
 #: this relative tolerance of full re-characterization, and so do the
-#: converged chip mean/std (asserted in ``tests/thermal`` and
-#: ``benchmarks/bench_thermal.py``; derivation in ``docs/THERMAL.md``).
+#: converged chip mean/std (asserted in ``tests/thermal``, at 16,384
+#: cells in ``test_fast_vs_full.py``; derivation in ``docs/THERMAL.md``).
 FAST_FULL_RTOL = 5e-3
 
 # Per-source-characterization cache of temperature re-characterizations

@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.estimators.fast_exact import lattice_fft_shape
 from repro.obs import span
 from repro.process.correlation import ExponentialCorrelation
 from repro.thermal.config import ThermalConfig
@@ -51,8 +52,13 @@ class ThermalOperator:
     an unclipped neighbourhood — i.e. ``R_sp`` is the lateral spreading
     resistance in K/W, independent of grid resolution.
 
-    The convolution is evaluated as a zero-padded (linear, not
-    circular) FFT product; the kernel table itself is an
+    The convolution is evaluated as a zero-padded FFT product at
+    :func:`~repro.core.estimators.fast_exact.lattice_fft_shape` (the
+    smallest 5-smooth length ``>= 2n - 1`` per axis). Only the
+    ``rows x cols`` window centred on the kernel's zero lag is read,
+    and circular wrap-around cannot reach it once the length is at
+    least ``2n - 1``, so the result is the linear convolution; the
+    kernel table itself is an
     :class:`~repro.process.correlation.ExponentialCorrelation` evaluated
     over the lag lattice, as the estimator lag transforms do.
     """
@@ -65,9 +71,10 @@ class ThermalOperator:
         self.package_resistance = float(config.package_resistance)
         self.spreading_resistance = float(config.spreading_resistance)
         self._kernel_spectrum: Optional[np.ndarray] = None
-        self._shape = (3 * self.rows - 2, 3 * self.cols - 2)
+        self._shape = lattice_fft_shape(self.rows, self.cols)
         if self.spreading_resistance > 0.0:
-            with span("thermal.operator", rows=self.rows, cols=self.cols):
+            with span("thermal.operator", rows=self.rows, cols=self.cols,
+                      shape=f"{self._shape[0]}x{self._shape[1]}"):
                 # Rows run along y and columns along x, so the axis-0
                 # lags step by pitch_y and the axis-1 lags by pitch_x.
                 lag_y = np.arange(1 - self.rows, self.rows) * float(pitch_y)

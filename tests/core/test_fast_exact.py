@@ -21,7 +21,12 @@ from repro.core.estimators import (
     exact_moments,
     pair_params_from_fits,
 )
-from repro.core.estimators.fast_exact import GridInfo, _lag_correlation
+from repro.core.estimators.fast_exact import (
+    GridInfo,
+    _lag_correlation,
+    _lag_crosscorr,
+    lattice_fft_shape,
+)
 from repro.exceptions import EstimationError
 from repro.process import (
     AnisotropicCorrelation,
@@ -64,6 +69,11 @@ def random_placement(n, rng, extent=2e-3):
 def grid_placement(n_side, pitch=12e-6):
     cc, rr = np.meshgrid(np.arange(n_side), np.arange(n_side))
     return np.column_stack([cc.ravel() * pitch, rr.ravel() * pitch])
+
+
+def rect_placement(rows, cols, pitch_x=12e-6, pitch_y=17e-6):
+    cc, rr = np.meshgrid(np.arange(cols), np.arange(rows))
+    return np.column_stack([cc.ravel() * pitch_x, rr.ravel() * pitch_y])
 
 
 def gate_arrays(n, rng):
@@ -222,6 +232,66 @@ class TestLagsumMatchesDense:
             lagsum = exact_moments(positions, means, stds, correlation,
                                    method="lagsum", **kwargs)
             assert lagsum[1] == pytest.approx(dense[1], rel=1e-11)
+
+
+#: Lattices whose 5-smooth FFT length differs from the historical
+#: ``2n`` on at least one axis (2n - 1 -> length: 13 -> 15, 21 -> 24,
+#: 9 -> 9, 25 -> 25, 17 -> 18, 1 -> 1, 27 -> 27).
+ODD_SHAPES = ((7, 11), (5, 13), (9, 1), (11, 14))
+
+
+@pytest.mark.parametrize("rows, cols", ODD_SHAPES)
+class TestLagsumOddShapes:
+    """Lag sums at the smallest exact FFT length match the dense path on
+    shapes where that length is not the old ``2n`` padding."""
+
+    def test_length_differs_from_double(self, rows, cols):
+        assert lattice_fft_shape(rows, cols) != (2 * rows, 2 * cols)
+
+    @pytest.mark.parametrize("name", ["exponential", "total-floor"])
+    def test_simplified(self, rows, cols, name, rng):
+        correlation = CORRELATIONS[name]
+        positions = rect_placement(rows, cols)
+        means, stds, corr_stds, _ = gate_arrays(rows * cols, rng)
+        dense = exact_moments(positions, means, stds, correlation,
+                              corr_stds=corr_stds, method="dense")
+        lagsum = exact_moments(positions, means, stds, correlation,
+                               corr_stds=corr_stds, method="lagsum",
+                               grid=(rows, cols))
+        assert lagsum[1] == pytest.approx(dense[1], rel=1e-11)
+
+    @pytest.mark.parametrize("name", ["exponential", "total-floor"])
+    def test_pair_params(self, rows, cols, name, rng):
+        correlation = CORRELATIONS[name]
+        positions = rect_placement(rows, cols)
+        means, stds, _, pair_params = gate_arrays(rows * cols, rng)
+        dense = exact_moments(positions, means, stds, correlation,
+                              pair_params=pair_params, method="dense")
+        lagsum = exact_moments(positions, means, stds, correlation,
+                               pair_params=pair_params, method="lagsum",
+                               grid=(rows, cols))
+        assert lagsum[1] == pytest.approx(dense[1], rel=1e-11)
+
+    def test_multiplicities_are_integer_pair_counts(self, rows, cols, rng):
+        # Occupancy grids with stacked gates, cross-correlated at the FFT
+        # length, must round to the direct per-lag pair counts.
+        occ_a = rng.integers(0, 3, size=(rows, cols)).astype(float)
+        occ_b = rng.integers(0, 3, size=(rows, cols)).astype(float)
+        shape = lattice_fft_shape(rows, cols)
+        raw = _lag_crosscorr(np.fft.rfft2(occ_a, s=shape),
+                             np.fft.rfft2(occ_b, s=shape), rows, cols,
+                             shape)
+        counts = np.rint(raw)
+        np.testing.assert_allclose(raw, counts, rtol=0.0, atol=1e-9)
+        want = np.zeros((2 * rows - 1, 2 * cols - 1))
+        for di in range(1 - rows, rows):
+            for dj in range(1 - cols, cols):
+                a = occ_a[max(0, -di):rows - max(0, di),
+                          max(0, -dj):cols - max(0, dj)]
+                b = occ_b[max(0, di):rows + min(0, di),
+                          max(0, dj):cols + min(0, dj)]
+                want[rows - 1 + di, cols - 1 + dj] = (a * b).sum()
+        np.testing.assert_array_equal(counts, want)
 
 
 class TestTruncationBound:

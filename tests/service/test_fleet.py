@@ -14,8 +14,14 @@ from collections import Counter
 import pytest
 
 from repro.exceptions import ConfigurationError, ReproError
-from repro.service.fleet import HashRing, ReplicaFleet, create_front
+from repro.service.fleet import (
+    HashRing,
+    ReplicaFleet,
+    _FrontHandler,
+    create_front,
+)
 from repro.service.jobs import EstimateRequest
+from repro.service.sweep import SweepRequest
 
 from .conftest import CELLS
 
@@ -55,6 +61,34 @@ def post(base, path, document, timeout=300.0):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+class TestRoutingKey:
+    route = staticmethod(_FrontHandler._routing_key)
+
+    def test_sweeps_route_by_their_content_hash(self):
+        sweeps = [{"base": ESTIMATE_BODY,
+                   "axes": [{"name": "n_cells", "values": values}]}
+                  for values in ([300, 500], [700, 900])]
+        keys = [self.route("/v1/sweep", sweep) for sweep in sweeps]
+        assert keys[0] != keys[1]
+        for key, sweep in zip(keys, sweeps):
+            assert key == SweepRequest.from_dict(sweep).key()
+
+    def test_sweep_key_ignores_base_key_order(self):
+        axes = [{"name": "n_cells", "values": [300, 500]}]
+        reordered = dict(reversed(list(ESTIMATE_BODY.items())))
+        assert (self.route("/v1/sweep", {"base": ESTIMATE_BODY,
+                                         "axes": axes})
+                == self.route("/v1/sweep", {"base": reordered,
+                                            "axes": axes}))
+
+    def test_whatifs_route_by_their_base_hash(self):
+        key = EstimateRequest.from_dict(ESTIMATE_BODY).key()
+        whatif = {"base": key,
+                  "edits": [{"type": "floorplan_resize", "n_cells": 1000}]}
+        assert self.route("/v1/estimate", whatif) == key
+        assert self.route("/v1/estimate", ESTIMATE_BODY) == key
 
 
 class TestHashRing:
