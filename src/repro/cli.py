@@ -820,8 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "supervised OS-process workers "
                             "(crash-only serving)")
     serve.add_argument("--cache-shards", type=int, default=8,
-                       help="shard count for the cross-process-safe "
-                            "cache layout (process mode and fleets)")
+                       help="shard count of the --cache-dir layout "
+                            "(every process sharing it must agree)")
     serve.add_argument("--drain-grace", type=float, default=10.0,
                        help="seconds to let in-flight requests finish "
                             "on SIGTERM before stopping (default 10)")

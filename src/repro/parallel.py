@@ -18,10 +18,19 @@ caller-supplied drain loop (e.g. pulling jobs off a scheduler queue)
 until the pool is stopped. Threads are the right grain there — the
 numpy-heavy estimator kernels release the GIL, and each job can still
 fan its inner block loop out over :func:`parallel_map` processes.
+
+:class:`Supervisor` is the one child-process supervisor: spawn, ready
+handshake, backoff, a shared restart budget, liveness and a bounded
+:class:`EventRecord`. :class:`ProcessWorkerPool` runs its worker
+processes on it, and so does the service's replica fleet.
 """
 
 from __future__ import annotations
 
+import collections
+import enum
+import json
+import logging
 import multiprocessing
 import os
 import pickle
@@ -30,13 +39,18 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import shared_memory
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
+from typing import (Any, Callable, Deque, Dict, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
 from repro.exceptions import PoisonJobError, WorkerCrashedError
-from repro.obs.trace import (Tracer, current_tracer, merge_remote_spans,
-                             span, tracing_active)
+from repro.obs.trace import Tracer, merge_remote_spans, span, tracing_active
+
+#: Supervisor events kept per pool or fleet (oldest dropped first).
+EVENT_CAPACITY = 64
+
+_EVENT_LOG = logging.getLogger("repro.supervisor")
 
 # Worker-side state, populated by the pool initializer.
 _WORKER_ARRAYS: Dict[str, np.ndarray] = {}
@@ -105,7 +119,7 @@ class ThreadWorkerPool:
         self._on_crash = on_crash
         self._max_restarts = int(max_restarts)
         self.restarts = 0
-        self._failures: List[BaseException] = []
+        self._events = EventRecord(name)
         self._threads: List[threading.Thread] = []
         for index in range(resolve_n_jobs(n_workers)):
             thread = threading.Thread(
@@ -118,7 +132,10 @@ class ThreadWorkerPool:
         try:
             worker_loop(self._stop)
         except BaseException as exc:  # noqa: BLE001 - recorded for inspection
-            self._failures.append(exc)
+            thread = threading.current_thread()
+            self._events.record(thread.name[len(self._name) + 1:], 0,
+                                os.getpid(), "exit",
+                                f"{type(exc).__name__}: {exc}")
             if self._on_crash is not None:
                 try:
                     self._on_crash(exc)
@@ -191,9 +208,10 @@ class ThreadWorkerPool:
             return sum(thread.is_alive() for thread in self._threads)
 
     @property
-    def failures(self) -> List[BaseException]:
-        """Exceptions that escaped worker loops (should be empty)."""
-        return list(self._failures)
+    def failures(self) -> List[str]:
+        """Exceptions that escaped worker loops, as reason strings (the
+        last :data:`EVENT_CAPACITY`; should be empty)."""
+        return self._events.failures
 
     @property
     def stopped(self) -> bool:
@@ -416,6 +434,264 @@ def _send_safely(conn, message) -> bool:
         return False
 
 
+class EventRecord:
+    """The last :data:`EVENT_CAPACITY` events of one supervisor.
+
+    Each event is a dict with ``ts``, ``supervisor``, ``slot``,
+    ``generation``, ``pid``, ``event`` (``exit``, ``heartbeat_missed``,
+    ``init_failed``, ``init_timeout``, ``respawn_failed``,
+    ``budget_exhausted`` or ``quarantine``) and ``reason``, and is also
+    logged as one JSON line on the ``repro.supervisor`` logger.
+    """
+
+    def __init__(self, supervisor: str) -> None:
+        self.supervisor = supervisor
+        self._events: Deque[Dict[str, Any]] = collections.deque(
+            maxlen=EVENT_CAPACITY)
+        self._lock = threading.Lock()
+
+    def record(self, slot: Any, generation: int, pid: Optional[int],
+               event: str, reason: str) -> None:
+        entry = {"ts": time.time(), "supervisor": self.supervisor,
+                 "slot": slot, "generation": generation, "pid": pid,
+                 "event": event, "reason": reason}
+        with self._lock:
+            self._events.append(entry)
+        _EVENT_LOG.warning(json.dumps(entry))
+
+    @property
+    def events(self) -> List[Dict[str, Any]]:
+        with self._lock:
+            return [dict(entry) for entry in self._events]
+
+    @property
+    def failures(self) -> List[str]:
+        """Event reasons as ``<supervisor>-<slot> gen<n>: <reason>``."""
+        return [f"{entry['supervisor']}-{entry['slot']} "
+                f"gen{entry['generation']}: {entry['reason']}"
+                for entry in self.events]
+
+
+class StartOutcome(enum.Enum):
+    """How one :meth:`Supervisor.start` ended."""
+
+    READY = "ready"
+    INIT_ERROR = "init_error"  # the child reported that its init failed
+    EOF = "eof"  # the pipe closed before the ready message
+    EXITED = "exited"  # the child exited (or never started) during init
+    TIMEOUT = "timeout"  # no ready message within ``init_timeout``
+    STOPPED = "stopped"  # the supervisor was stopped meanwhile
+    BUDGET = "budget_exhausted"  # the shared restart budget is spent
+
+
+class _Slot:
+    """One child-process slot. ``failures`` counts failures since the
+    owner last called :meth:`Supervisor.healthy`; ``next_start`` is the
+    monotonic time a restart waits for; ``message`` is the current
+    child's ready message; a ``retired`` slot never starts again."""
+
+    __slots__ = ("index", "process", "conn", "pid", "generation",
+                 "failures", "next_start", "ready", "ready_at", "message",
+                 "retired")
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.process = self.conn = self.pid = self.message = None
+        self.generation = self.failures = 0
+        self.next_start = self.ready_at = 0.0
+        self.ready = self.retired = False
+
+
+class Supervisor:
+    """Start, watch and restart child processes on ``n_slots`` slots.
+
+    The one supervision mechanism behind :class:`ProcessWorkerPool`
+    workers and :class:`~repro.service.fleet.ReplicaFleet` replicas.
+    :meth:`start` runs ``target(*child_args(index, generation, conn))``
+    in a child process and waits up to ``init_timeout`` seconds for one
+    ``("ready", ...)`` message on ``conn``; each way a start can fail is
+    a :class:`StartOutcome` and a recorded event, never an exception.
+    The owner watches its children and reports each death with
+    :meth:`died`; the slot's next :meth:`start` then waits
+    ``restart_backoff * 2**(k-1)`` seconds (capped at ``max_backoff``),
+    ``k`` counting the slot's failures since the owner last called
+    :meth:`healthy`. The first start of each slot is free; every later
+    one spends one unit of a restart budget shared by all slots.
+    """
+
+    def __init__(self, n_slots: int, target: Callable[..., None],
+                 child_args: Callable[[int, int, Any], tuple], *,
+                 name: str, init_timeout: float = 120.0,
+                 restart_backoff: float = 0.05, max_backoff: float = 2.0,
+                 max_restarts: int = 100, poll_interval: float = 0.05,
+                 daemon: bool = True, mp_context=None) -> None:
+        self.name = name
+        self.init_timeout = float(init_timeout)
+        self.restart_backoff = float(restart_backoff)
+        self.max_backoff = float(max_backoff)
+        self.max_restarts = int(max_restarts)
+        self.poll_interval = float(poll_interval)
+        self.daemon = daemon
+        self.restarts = 0
+        self.stopping = threading.Event()
+        self.events = EventRecord(name)
+        self.slots = [_Slot(index) for index in range(n_slots)]
+        self._target = target
+        self._child_args = child_args
+        self._ctx = mp_context or _preferred_mp_context()
+        self._lock = threading.Lock()
+
+    def backoff(self, failures: int) -> float:
+        """Delay before the restart that follows ``failures`` failures."""
+        if failures <= 0:
+            return 0.0
+        return min(self.restart_backoff * 2 ** (failures - 1),
+                   self.max_backoff)
+
+    def record(self, index: int, event: str, reason: str) -> None:
+        slot = self.slots[index]
+        self.events.record(index, slot.generation, slot.pid, event, reason)
+
+    def died(self, index: int, event: str, reason: str) -> None:
+        """Record that slot ``index``'s child failed; back off its restart."""
+        slot = self.slots[index]
+        slot.ready = False
+        slot.failures += 1
+        slot.next_start = time.monotonic() + self.backoff(slot.failures)
+        self.record(index, event, reason)
+
+    def healthy(self, index: int) -> None:
+        """The owner vouches for slot ``index``: its next restart waits
+        the base ``restart_backoff`` again."""
+        slot = self.slots[index]
+        slot.failures = 0
+        slot.next_start = 0.0
+
+    def start(self, index: int) -> Tuple[StartOutcome, str]:
+        """(Re)start slot ``index``; returns ``(outcome, reason)``."""
+        slot = self.slots[index]
+        with self._lock:
+            if self.stopping.is_set():
+                return StartOutcome.STOPPED, "supervisor stopped"
+            slot.retired = (slot.generation > 0
+                            and self.restarts >= self.max_restarts)
+            if slot.generation > 0 and not slot.retired:
+                self.restarts += 1
+        if slot.retired:
+            self.kill(index)
+            reason = (f"restart budget ({self.max_restarts}) exhausted; "
+                      f"slot {index} stays down")
+            self.record(index, "budget_exhausted", reason)
+            return StartOutcome.BUDGET, reason
+        delay = slot.next_start - time.monotonic()
+        if delay > 0 and self.stopping.wait(delay):
+            return StartOutcome.STOPPED, "supervisor stopped"
+        self.kill(index)  # reap the predecessor
+        generation = slot.generation + 1
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        process = self._ctx.Process(
+            target=self._target,
+            args=self._child_args(index, generation, child_conn),
+            name=f"{self.name}-{index}-g{generation}", daemon=self.daemon)
+        try:
+            process.start()
+            outcome = None
+        except OSError as exc:  # fork refused (EAGAIN, ENOMEM)
+            process, outcome = None, StartOutcome.EXITED
+            reason = f"could not start: {exc}"
+        finally:
+            child_conn.close()
+        with self._lock:
+            slot.process, slot.conn = process, parent_conn
+            slot.pid = process.pid if process is not None else None
+            slot.generation = generation
+        if outcome is None:
+            outcome, reason = self._handshake(slot)
+        if outcome is StartOutcome.READY:
+            slot.ready_at = time.monotonic()
+            slot.ready = True
+            return outcome, reason
+        self.kill(index)
+        if outcome is not StartOutcome.STOPPED:
+            if generation > 1:
+                event, reason = "respawn_failed", f"respawn failed: {reason}"
+            else:
+                event = ("init_timeout" if outcome is StartOutcome.TIMEOUT
+                         else "init_failed")
+            self.died(index, event, reason)
+        return outcome, reason
+
+    def _handshake(self, slot: _Slot) -> Tuple[StartOutcome, str]:
+        process, conn = slot.process, slot.conn
+        ready_by = time.monotonic() + self.init_timeout
+        while True:
+            try:
+                if conn.poll(self.poll_interval):
+                    message = conn.recv()
+                    kind = message[0] if isinstance(message, tuple) else None
+                    if kind == _MSG_READY:
+                        slot.message = message
+                        return StartOutcome.READY, "ready"
+                    detail = message[1] if kind == _MSG_INIT_ERR else message
+                    return StartOutcome.INIT_ERROR, f"init failed: {detail!r}"
+            except (EOFError, OSError) as exc:
+                return (StartOutcome.EOF, f"died before its ready "
+                        f"handshake ({type(exc).__name__})")
+            if not process.is_alive():
+                return (StartOutcome.EXITED, f"exited before its ready "
+                        f"handshake (code {process.exitcode})")
+            if time.monotonic() > ready_by:
+                return (StartOutcome.TIMEOUT, f"did not report ready "
+                        f"within {self.init_timeout:g}s")
+            if self.stopping.is_set():
+                return StartOutcome.STOPPED, "supervisor stopped"
+
+    def kill(self, index: int, grace: float = 0.0) -> None:
+        """Reap slot ``index``'s child: wait ``grace`` seconds for it to
+        exit, then SIGKILL it; close its pipe."""
+        slot = self.slots[index]
+        slot.ready = False
+        process, conn = slot.process, slot.conn
+        slot.process = slot.conn = None
+        try:
+            if process is not None:
+                if grace > 0:
+                    process.join(timeout=grace)
+                if process.is_alive():
+                    process.kill()
+                process.join(timeout=2.0)
+            if conn is not None:
+                conn.close()
+        except Exception:  # noqa: BLE001 - already-reaped/closed races
+            pass
+
+    def liveness(self) -> List[Dict[str, Any]]:
+        """Per-slot ``slot``, ``pid``, ``alive``, ``state``,
+        ``generation`` and ``restarts``.
+
+        ``state`` is ``"up"`` once the live child answered the ready
+        handshake, ``"starting"`` while a (re)start is pending or the
+        child is still initializing, and ``"down"`` for a dead child or
+        a stopped or retired slot.
+        """
+        entries = []
+        for slot in self.slots:
+            process = slot.process
+            alive = bool(process is not None and process.is_alive())
+            if alive:
+                state = "up" if slot.ready else "starting"
+            elif process is None and not (slot.retired
+                                          or self.stopping.is_set()):
+                state = "starting"
+            else:
+                state = "down"
+            entries.append({"slot": slot.index, "pid": slot.pid,
+                            "alive": alive, "state": state,
+                            "generation": slot.generation,
+                            "restarts": max(0, slot.generation - 1)})
+        return entries
+
+
 class WorkerProcessContext:
     """Child-side identity and heartbeat of one pool worker process.
 
@@ -565,26 +841,6 @@ class PoolFuture:
         return self.result_value
 
 
-class _WorkerSlot:
-    """Parent-side state for one supervised worker process."""
-
-    __slots__ = ("index", "process", "conn", "heartbeat", "generation",
-                 "consecutive_crashes", "pid", "ready", "retired")
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.process = None
-        self.conn = None
-        self.heartbeat = None
-        self.generation = 0
-        self.consecutive_crashes = 0
-        self.pid: Optional[int] = None
-        #: The current process answered the ready handshake.
-        self.ready = False
-        #: The shepherd exited; the slot will never run a worker again.
-        self.retired = False
-
-
 class ProcessWorkerPool:
     """Supervised OS-process workers with heartbeats and crash requeue.
 
@@ -595,9 +851,9 @@ class ProcessWorkerPool:
     thread per slot feeds tasks over a private pipe and supervises:
 
     - a worker that exits (any reason) or whose heartbeat goes stale
-      for ``heartbeat_timeout`` seconds is killed and replaced, with
-      exponential backoff (``restart_backoff * 2**crashes``, capped at
-      ``max_backoff``) against tight crash loops;
+      for ``heartbeat_timeout`` seconds is killed and replaced by the
+      pool's :class:`Supervisor`, with exponential backoff against
+      tight crash loops (reset whenever a task completes on the slot);
     - the in-flight task is requeued up to ``max_task_retries`` times,
       then failed with :class:`~repro.exceptions.WorkerCrashedError`;
     - a content key that crashes workers ``poison_threshold`` times is
@@ -632,25 +888,25 @@ class ProcessWorkerPool:
         self._name = name
         self._heartbeat_interval = float(heartbeat_interval)
         self._heartbeat_timeout = float(heartbeat_timeout)
-        self._restart_backoff = float(restart_backoff)
-        self._max_backoff = float(max_backoff)
-        self._max_restarts = int(max_restarts)
         self._max_task_retries = int(max_task_retries)
         self._poison_threshold = int(poison_threshold)
-        self._init_timeout = float(init_timeout)
         self._timeout_error = timeout_error or (
             lambda detail: WorkerCrashedError(detail))
         self._ctx = mp_context or _preferred_mp_context()
+        n_workers = resolve_n_jobs(n_workers)
+        self._supervisor = Supervisor(
+            n_workers, _process_worker_main, self._child_args, name=name,
+            init_timeout=init_timeout, restart_backoff=restart_backoff,
+            max_backoff=max_backoff, max_restarts=max_restarts,
+            poll_interval=self._heartbeat_interval, mp_context=self._ctx)
+        self._slots = self._supervisor.slots
+        self._heartbeats: List[Any] = [None] * n_workers
         self._tasks: "queue.Queue[PoolFuture]" = queue.Queue()
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self.restarts = 0
-        self._failures: List[str] = []
+        self._stop = self._supervisor.stopping
         self._crash_counts: Dict[str, int] = {}
         self._quarantined: Dict[str, int] = {}
-        self._slots = [_WorkerSlot(index)
-                       for index in range(resolve_n_jobs(n_workers))]
-        self._live_shepherds = len(self._slots)
+        self._live_shepherds = n_workers
         self._threads: List[threading.Thread] = []
         for slot in self._slots:
             thread = threading.Thread(
@@ -700,14 +956,22 @@ class ProcessWorkerPool:
 
     # -- supervision -------------------------------------------------------
 
-    def _shepherd_loop(self, slot: _WorkerSlot) -> None:
+    def _child_args(self, index: int, generation: int, conn) -> tuple:
+        heartbeat = self._ctx.Value("d", time.time(), lock=False)
+        self._heartbeats[index] = heartbeat
+        return (conn, heartbeat, self._init_fn, self._work_fn, index,
+                generation, self._heartbeat_interval)
+
+    def _shepherd_loop(self, slot: _Slot) -> None:
         try:
             while not self._stop.is_set():
                 if slot.process is None or not slot.process.is_alive():
                     if slot.process is not None:
-                        self._note_death(slot, "worker exited while idle")
-                    if not self._respawn(slot):
-                        return  # restart budget spent: slot retires
+                        self._supervisor.died(slot.index, "exit",
+                                              "worker exited while idle")
+                    outcome, _ = self._supervisor.start(slot.index)
+                    if outcome in (StartOutcome.STOPPED, StartOutcome.BUDGET):
+                        return  # pool stopped or restart budget spent
                     continue
                 try:
                     task = self._tasks.get(timeout=0.1)
@@ -747,7 +1011,7 @@ class ProcessWorkerPool:
                 return
             task.cancel(WorkerCrashedError(detail))
 
-    def _run_task(self, slot: _WorkerSlot, task: PoolFuture) -> None:
+    def _run_task(self, slot: _Slot, task: PoolFuture) -> None:
         task.attempts += 1
         if not _send_safely(slot.conn,
                             (_MSG_TASK, task.payload, task.trace,
@@ -762,11 +1026,11 @@ class ProcessWorkerPool:
                 if slot.conn.poll(self._heartbeat_interval):
                     message = slot.conn.recv()
                     if message[0] == _MSG_OK:
-                        slot.consecutive_crashes = 0
+                        self._supervisor.healthy(slot.index)
                         self._forgive(task.key)
                         task._resolve(message[1], message[2])
                     elif message[0] == _MSG_ERR:
-                        slot.consecutive_crashes = 0
+                        self._supervisor.healthy(slot.index)
                         self._forgive(task.key)
                         task._fail(message[1], message[2])
                     else:  # unexpected protocol message: treat as crash
@@ -781,26 +1045,27 @@ class ProcessWorkerPool:
                 self._handle_crash(slot, task,
                                    f"worker exited with code {code}")
                 return
-            if (time.time() - slot.heartbeat.value
+            if (time.time() - self._heartbeats[slot.index].value
                     > self._heartbeat_timeout):
-                self._kill_worker(slot)
-                self._handle_crash(slot, task, "heartbeat missed")
+                self._handle_crash(slot, task, "heartbeat missed",
+                                   "heartbeat_missed")
                 return
             if deadline is not None and time.monotonic() > deadline:
-                self._kill_worker(slot)
-                self._note_death(slot, "killed: task overran its deadline")
+                self._supervisor.kill(slot.index)
+                self._supervisor.died(slot.index, "exit",
+                                      "killed: task overran its deadline")
                 task._fail(self._timeout_error(
                     "worker killed after task overran its deadline"))
                 return
             if self._stop.is_set():
-                self._kill_worker(slot)
+                self._supervisor.kill(slot.index)
                 task._fail(WorkerCrashedError("pool stopped mid-task"))
                 return
 
-    def _handle_crash(self, slot: _WorkerSlot, task: PoolFuture,
-                      reason: str) -> None:
-        self._kill_worker(slot)
-        self._note_death(slot, reason)
+    def _handle_crash(self, slot: _Slot, task: PoolFuture, reason: str,
+                      event: str = "exit") -> None:
+        self._supervisor.kill(slot.index)
+        self._supervisor.died(slot.index, event, reason)
         if task.done():
             return
         if task.key is not None:
@@ -813,9 +1078,10 @@ class ProcessWorkerPool:
                 else:
                     poisoned = False
             if poisoned:
-                task._fail(PoisonJobError(
-                    f"request {task.key[:12]} quarantined after {count} "
-                    f"worker crashes ({reason})"))
+                detail = (f"request {task.key[:12]} quarantined after "
+                          f"{count} worker crashes ({reason})")
+                self._supervisor.record(slot.index, "quarantine", detail)
+                task._fail(PoisonJobError(detail))
                 return
         if task.attempts > self._max_task_retries:
             task._fail(WorkerCrashedError(
@@ -837,7 +1103,7 @@ class ProcessWorkerPool:
         with self._lock:
             self._crash_counts.pop(key, None)
 
-    def _death_reason(self, slot: _WorkerSlot) -> str:
+    def _death_reason(self, slot: _Slot) -> str:
         """Best-effort post-mortem when the pipe tears mid-task."""
         process = slot.process
         if process is not None:
@@ -846,110 +1112,10 @@ class ProcessWorkerPool:
                 return f"worker exited with code {process.exitcode}"
         return "pipe torn mid-task"
 
-    def _note_death(self, slot: _WorkerSlot, reason: str) -> None:
-        slot.consecutive_crashes += 1
-        with self._lock:
-            self._failures.append(
-                f"{self._name}-{slot.index} gen{slot.generation}: {reason}")
-
-    def _kill_worker(self, slot: _WorkerSlot) -> None:
-        slot.ready = False
-        process = slot.process
-        if process is None:
-            return
-        try:
-            if process.is_alive():
-                process.kill()
-            process.join(timeout=2.0)
-        except Exception:  # noqa: BLE001 - already-reaped races
-            pass
-        if slot.conn is not None:
-            try:
-                slot.conn.close()
-            except Exception:  # noqa: BLE001
-                pass
-        slot.process = None
-        slot.conn = None
-
-    def _respawn(self, slot: _WorkerSlot) -> bool:
-        with self._lock:
-            if self._stop.is_set():
-                return False
-            if slot.generation > 0:
-                if self.restarts >= self._max_restarts:
-                    return False
-                self.restarts += 1
-        if slot.consecutive_crashes > 0:
-            delay = min(
-                self._restart_backoff
-                * (2 ** (slot.consecutive_crashes - 1)),
-                self._max_backoff)
-            if self._stop.wait(delay):
-                return False
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        heartbeat = self._ctx.Value("d", time.time(), lock=False)
-        slot.generation += 1
-        process = self._ctx.Process(
-            target=_process_worker_main,
-            args=(child_conn, heartbeat, self._init_fn, self._work_fn,
-                  slot.index, slot.generation, self._heartbeat_interval),
-            name=f"{self._name}-{slot.index}-g{slot.generation}",
-            daemon=True)
-        process.start()
-        child_conn.close()
-        slot.process = process
-        slot.conn = parent_conn
-        slot.heartbeat = heartbeat
-        slot.pid = process.pid
-        # Handshake: wait for "ready" so tasks never reach a worker that
-        # failed to build its state (e.g. a corrupt cache directory).
-        ready_by = time.monotonic() + self._init_timeout
-        while True:
-            try:
-                if parent_conn.poll(self._heartbeat_interval):
-                    message = parent_conn.recv()
-                    if message[0] == _MSG_READY:
-                        slot.ready = True
-                        return True
-                    self._kill_worker(slot)
-                    self._note_death(
-                        slot, f"init failed: {message[1]!r}")
-                    return not self._stop.is_set()
-            except (EOFError, OSError):
-                self._kill_worker(slot)
-                self._note_death(slot, "worker died during init")
-                return not self._stop.is_set()
-            if not process.is_alive():
-                self._kill_worker(slot)
-                self._note_death(
-                    slot, f"worker exited during init "
-                          f"(code {process.exitcode})")
-                return not self._stop.is_set()
-            if time.monotonic() > ready_by:
-                self._kill_worker(slot)
-                self._note_death(slot, "worker init timed out")
-                return not self._stop.is_set()
-            if self._stop.is_set():
-                self._kill_worker(slot)
-                return False
-
-    def _shutdown_slot(self, slot: _WorkerSlot) -> None:
-        slot.ready = False
+    def _shutdown_slot(self, slot: _Slot) -> None:
         if slot.conn is not None:
             _send_safely(slot.conn, (_MSG_STOP,))
-        process = slot.process
-        if process is not None:
-            process.join(timeout=1.0)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=2.0)
-        slot.process = None
-        if slot.conn is not None:
-            try:
-                slot.conn.close()
-            except Exception:  # noqa: BLE001
-                pass
-            slot.conn = None
+        self._supervisor.kill(slot.index, grace=1.0)
 
     # -- introspection -----------------------------------------------------
 
@@ -963,10 +1129,19 @@ class ProcessWorkerPool:
                    if slot.process is not None and slot.process.is_alive())
 
     @property
+    def restarts(self) -> int:
+        """Worker restarts so far (spent from the ``max_restarts`` budget)."""
+        return self._supervisor.restarts
+
+    @property
+    def events(self) -> List[Dict[str, Any]]:
+        """Supervisor events, oldest first (see :class:`EventRecord`)."""
+        return self._supervisor.events.events
+
+    @property
     def failures(self) -> List[str]:
         """Worker-death reasons, oldest first (for diagnostics)."""
-        with self._lock:
-            return list(self._failures)
+        return self._supervisor.events.failures
 
     @property
     def quarantined(self) -> Dict[str, int]:
@@ -985,34 +1160,24 @@ class ProcessWorkerPool:
     def liveness(self) -> List[Dict[str, Any]]:
         """Per-worker liveness snapshot for health checks and metrics.
 
-        Returns one entry per slot: worker name, pid, whether the
-        process is currently alive, its ``state``, how many times the
-        slot restarted, and the age of its last heartbeat in seconds.
-        ``state`` is ``"up"`` once the live process answered the ready
-        handshake, ``"starting"`` while a (re)spawn is pending or the
-        process is still building its state (its ``pid`` may be
-        ``None``), and ``"down"`` for a dead worker or a stopped or
-        retired slot. Shepherds spawn workers asynchronously, so right
-        after construction every slot is ``"starting"``.
+        One entry per slot: worker name, pid, whether the process is
+        alive, its ``state`` (see :meth:`Supervisor.liveness`; the
+        ``pid`` of a ``"starting"`` slot may be ``None``), how many
+        times the slot restarted, and the age of its last heartbeat in
+        seconds. Shepherds spawn workers asynchronously, so right after
+        construction every slot is ``"starting"``.
         """
         now = time.time()
         entries = []
-        for slot in self._slots:
-            process = slot.process
-            beat = slot.heartbeat.value if slot.heartbeat is not None else 0.0
-            alive = bool(process is not None and process.is_alive())
-            if alive:
-                state = "up" if slot.ready else "starting"
-            elif process is None and not (slot.retired or self._stop.is_set()):
-                state = "starting"
-            else:
-                state = "down"
+        for entry, heartbeat in zip(self._supervisor.liveness(),
+                                    self._heartbeats):
+            beat = heartbeat.value if heartbeat is not None else 0.0
             entries.append({
-                "worker": f"{self._name}-{slot.index}",
-                "pid": slot.pid,
-                "alive": alive,
-                "state": state,
-                "restarts": max(0, slot.generation - 1),
+                "worker": f"{self._name}-{entry['slot']}",
+                "pid": entry["pid"],
+                "alive": entry["alive"],
+                "state": entry["state"],
+                "restarts": entry["restarts"],
                 "heartbeat_age_s": (
                     round(now - beat, 6) if beat else None),
             })
@@ -1026,8 +1191,4 @@ class ProcessWorkerPool:
             for thread in self._threads:
                 thread.join(timeout=timeout)
         for slot in self._slots:
-            process = slot.process
-            if process is not None and process.is_alive():
-                process.kill()
-                process.join(timeout=timeout)
-                slot.process = None
+            self._supervisor.kill(slot.index)

@@ -169,12 +169,12 @@ def _checks() -> List[Tuple[str, Callable[[], bool]]]:
         import tempfile
         import threading
 
-        from repro.service.cache import TIER_ESTIMATE, ShardedResultCache
+        from repro.service.cache import TIER_ESTIMATE, ResultCache
 
         with tempfile.TemporaryDirectory() as root:
             # Two cache instances over one directory stand in for two
             # processes: flock serializes their per-shard writes.
-            writers = [ShardedResultCache(max_entries=128, persist_dir=root)
+            writers = [ResultCache(max_entries=128, persist_dir=root)
                        for _ in range(2)]
             errors: List[Exception] = []
 
@@ -195,7 +195,7 @@ def _checks() -> List[Tuple[str, Callable[[], bool]]]:
             for thread in threads:
                 thread.join()
             # A restarted reader trusts only what rebuild() verified.
-            reader = ShardedResultCache(max_entries=128, persist_dir=root)
+            reader = ResultCache(max_entries=128, persist_dir=root)
             report = reader.rebuild()
             good = (not errors and report["valid"] == 96
                     and report["quarantined"] == 0)
@@ -235,7 +235,7 @@ def _checks() -> List[Tuple[str, Callable[[], bool]]]:
          check_delta_engine),
         ("result cache accounts entries, bytes, and hit/miss traffic",
          check_result_cache),
-        ("sharded cache round-trips under concurrent writers",
+        ("result cache shards round-trip under concurrent writers",
          check_sharded_cache),
         ("process supervisor restarts a killed worker and requeues",
          check_process_supervisor),

@@ -19,7 +19,6 @@ catalog.
 
 from repro.service.cache import (
     ResultCache,
-    ShardedResultCache,
     TIER_CHARACTERIZATION,
     TIER_ESTIMATE,
     TIER_RG,
@@ -99,7 +98,6 @@ __all__ = [
     "RemoteClient",
     "ResultCache",
     "RetryPolicy",
-    "ShardedResultCache",
     "SWEEP_AXES",
     "ServiceClient",
     "SweepAxisSpec",

@@ -18,7 +18,9 @@ content hash of exactly the request subset it depends on (see
 Each tier is an in-memory LRU with a size bound. Tiers whose values
 serialize to JSON (``characterization`` via the store module's
 document, ``estimate`` via ``LeakageEstimate.to_dict``) additionally
-persist to disk when a directory is configured: one file per entry,
+persist to disk when a directory is configured: one file per entry in
+a hash-partitioned shard directory guarded by a per-shard ``flock``
+(so threads, worker processes and replicas can share one directory),
 written atomically (unique temp file + ``os.replace``) so concurrent
 writers can never tear an entry, and stamped with the cache schema
 version plus the git revision so entries from another code revision
@@ -46,7 +48,7 @@ import threading
 import time
 import uuid
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import __version__
 from repro.service.faults import (
@@ -153,7 +155,7 @@ def _entry_nbytes(value: Any, payload: Any = None) -> int:
 
 
 class ResultCache:
-    """Tiered LRU cache with checksummed JSON-on-disk persistence.
+    """Tiered LRU cache with checksummed, sharded JSON-on-disk persistence.
 
     Parameters
     ----------
@@ -161,7 +163,8 @@ class ResultCache:
         Per-tier in-memory entry bound (least recently used evicted).
     persist_dir:
         Directory for the disk layer; ``None`` disables persistence.
-        Entries land at ``<persist_dir>/<tier>/<key>.json``; corrupt
+        Entries land at ``<persist_dir>/shard-NN/<tier>/<key>.json``
+        (a key's shard is its SHA-256 prefix mod ``n_shards``); corrupt
         ones are moved to ``<persist_dir>/quarantine/``.
     metrics:
         Optional :class:`~repro.service.metrics.MetricsRegistry`; when
@@ -174,17 +177,47 @@ class ResultCache:
     faults:
         Optional :class:`~repro.service.faults.FaultInjector`; the
         ``cache.read`` / ``cache.write`` sites corrupt entry bytes on
-        the way in/out of disk (memory tiers are never touched).
+        the way in/out of disk (memory tiers are never touched), and
+        ``shard.lock_timeout`` simulates a lock timeout.
+    n_shards:
+        Shard directory count (every process sharing a directory must
+        agree).
+    lock_timeout:
+        Seconds to wait for a shard lock. Each shard's lock file
+        (``locks/shard-NN.lock``, outside the shard directory so shard
+        quarantine cannot replace a held lock's inode) is taken with
+        ``fcntl.flock`` — shared for reads, exclusive for writes. A lock
+        that cannot be taken in time degrades the operation instead of
+        stalling it: reads report a miss, writes update memory only;
+        each is counted in ``repro_cache_lock_timeouts_total{tier=...}``.
+    shard_corruption_threshold:
+        A shard that accumulates this many corrupt entries is presumed
+        damaged (torn filesystem, bad disk) and moved wholesale to the
+        quarantine directory; a fresh empty shard takes its place.
+
+    :meth:`rebuild` is the restart path: it walks every shard, drops
+    stale-stamp entries, quarantines corrupt ones, and reports what it
+    found, so a crashed process's cache directory is verified before
+    being trusted.
     """
 
     def __init__(self, max_entries: int = 256,
                  persist_dir: Optional[str] = None,
                  metrics=None,
                  stamp: Optional[str] = None,
-                 faults: Optional[FaultInjector] = None) -> None:
+                 faults: Optional[FaultInjector] = None,
+                 n_shards: int = 8,
+                 lock_timeout: float = 2.0,
+                 shard_corruption_threshold: int = 4) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries!r}")
+        if n_shards < 1:
+            raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
         self.max_entries = int(max_entries)
+        self.n_shards = int(n_shards)
+        self.lock_timeout = float(lock_timeout)
+        self._shard_corruption_threshold = int(shard_corruption_threshold)
+        self._shard_corruptions: Dict[int, int] = {}
         self.persist_dir = persist_dir
         self.stamp = cache_stamp() if stamp is None else str(stamp)
         self._faults = faults
@@ -197,6 +230,7 @@ class ResultCache:
             tier: {} for tier in TIERS}
         self._requests = None
         self._corruptions = None
+        self._lock_timeouts = None
         if metrics is not None:
             self._requests = metrics.counter(
                 "repro_cache_requests_total",
@@ -205,6 +239,11 @@ class ResultCache:
             self._corruptions = metrics.counter(
                 "repro_cache_corruptions_total",
                 "Disk entries quarantined for failing integrity checks.",
+                labelnames=("tier",))
+            self._lock_timeouts = metrics.counter(
+                "repro_cache_lock_timeouts_total",
+                "Shard lock acquisitions that timed out (degraded to "
+                "miss/skip).",
                 labelnames=("tier",))
 
     def _check_tier(self, tier: str) -> None:
@@ -217,14 +256,62 @@ class ResultCache:
 
     # -- disk layer -------------------------------------------------------
 
-    def _path(self, tier: str, key: str) -> Optional[str]:
-        if self.persist_dir is None:
-            return None
-        return os.path.join(self.persist_dir, tier, f"{key}.json")
+    def shard_of(self, key: str) -> int:
+        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
+        return int(digest[:8], 16) % self.n_shards
 
-    def _quarantine(self, tier: str, key: str, path: str,
-                    cause: str) -> None:
-        """Move a corrupt entry aside (post-mortem) and count it."""
+    def _shard_dir(self, shard: int) -> str:
+        return os.path.join(self.persist_dir, f"shard-{shard:02d}")
+
+    def _path(self, tier: str, key: str) -> str:
+        return os.path.join(self._shard_dir(self.shard_of(key)), tier,
+                            f"{key}.json")
+
+    @contextlib.contextmanager
+    def _shard_lock(self, shard: int, exclusive: bool):
+        """Acquire the shard's flock; yields False on (real or injected)
+        timeout instead of blocking callers indefinitely."""
+        if fcntl is None:
+            yield True
+            return
+        if (self._faults is not None
+                and self._faults.should_fire(SITE_SHARD_LOCK_TIMEOUT)):
+            yield False
+            return
+        os.makedirs(self._shard_dir(shard), exist_ok=True)
+        # Lock files live OUTSIDE the shard directory: shard quarantine
+        # os.replace()s the whole shard dir, and a lock moved with it
+        # would fork the lock identity — holders of the old inode and
+        # of the fresh file would both believe they hold "the" shard
+        # lock and write concurrently.
+        lock_path = os.path.join(self.persist_dir, "locks",
+                                 f"shard-{shard:02d}.lock")
+        os.makedirs(os.path.dirname(lock_path), exist_ok=True)
+        operation = fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH
+        deadline = time.monotonic() + self.lock_timeout
+        with open(lock_path, "a") as handle:
+            while True:
+                try:
+                    fcntl.flock(handle.fileno(),
+                                operation | fcntl.LOCK_NB)
+                    break
+                except OSError:
+                    if time.monotonic() > deadline:
+                        yield False
+                        return
+                    time.sleep(0.005)
+            try:
+                yield True
+            finally:
+                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+
+    def _note_lock_timeout(self, tier: str) -> None:
+        if self._lock_timeouts is not None:
+            self._lock_timeouts.inc(tier=tier)
+
+    def _quarantine(self, tier: str, key: str, path: str) -> None:
+        """Move a corrupt entry aside (post-mortem) and count it; a shard
+        that reaches ``shard_corruption_threshold`` goes aside whole."""
         destination = os.path.join(
             self.persist_dir, QUARANTINE_DIR,
             f"{tier}.{key}.{uuid.uuid4().hex[:8]}.json")
@@ -236,73 +323,149 @@ class ResultCache:
                 os.unlink(path)  # quarantine failed; at least drop it
             except OSError:
                 pass
+        shard = self.shard_of(key)
         with self._lock:
             self._stats[tier].corruptions += 1
+            count = self._shard_corruptions.get(shard, 0) + 1
+            tripped = count >= self._shard_corruption_threshold
+            self._shard_corruptions[shard] = 0 if tripped else count
         if self._corruptions is not None:
             self._corruptions.inc(tier=tier)
+        if tripped:
+            self._quarantine_shard(shard)
 
-    def _disk_read(self, tier: str, key: str) -> Any:
-        path = self._path(tier, key)
-        if path is None:
-            return MISS
+    def _quarantine_shard(self, shard: int) -> None:
+        """Move a whole damaged shard aside and start it fresh."""
+        source = self._shard_dir(shard)
+        destination = os.path.join(
+            self.persist_dir, QUARANTINE_DIR,
+            f"shard-{shard:02d}.{uuid.uuid4().hex[:8]}")
         try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
+            os.makedirs(os.path.dirname(destination), exist_ok=True)
+            os.replace(source, destination)
         except OSError:
-            return MISS
-        if self._faults is not None:
-            raw = self._faults.corrupt(SITE_CACHE_READ, raw)
+            shutil.rmtree(source, ignore_errors=True)
+        try:
+            os.makedirs(source, exist_ok=True)
+        except OSError:
+            pass
+
+    def _check_entry(self, tier: str, key: str, path: str,
+                     raw: bytes) -> Tuple[str, Any]:
+        """Classify one disk entry's bytes: ``("valid", payload)``,
+        ``("quarantined", None)`` (corrupt: moved aside) or
+        ``("stale_dropped", None)`` (another revision's or a foreign
+        entry — not corruption: deleted so the directory does not
+        accumulate unreadable files across revisions)."""
         try:
             document = json.loads(raw.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
-            self._quarantine(tier, key, path, "unparseable")
-            return MISS
+            document = None
         if not isinstance(document, dict) or "payload" not in document:
-            self._quarantine(tier, key, path, "malformed")
-            return MISS
+            self._quarantine(tier, key, path)
+            return "quarantined", None
         if (document.get("stamp") != self.stamp
                 or document.get("tier") != tier
                 or document.get("key") != key):
-            # Stale or foreign entry — not corruption: drop it so the
-            # directory does not accumulate unreadable files across
-            # revisions.
             try:
                 os.unlink(path)
             except OSError:
                 pass
-            return MISS
+            return "stale_dropped", None
         payload = document["payload"]
         if document.get("checksum") != payload_checksum(payload):
-            self._quarantine(tier, key, path, "checksum mismatch")
+            self._quarantine(tier, key, path)
+            return "quarantined", None
+        return "valid", payload
+
+    def _disk_read(self, tier: str, key: str) -> Any:
+        if self.persist_dir is None:
             return MISS
-        return payload
+        with self._shard_lock(self.shard_of(key), exclusive=False) as held:
+            if not held:
+                self._note_lock_timeout(tier)
+                return MISS
+            path = self._path(tier, key)
+            try:
+                with open(path, "rb") as handle:
+                    raw = handle.read()
+            except OSError:
+                return MISS
+            if self._faults is not None:
+                raw = self._faults.corrupt(SITE_CACHE_READ, raw)
+            status, payload = self._check_entry(tier, key, path, raw)
+            return payload if status == "valid" else MISS
 
     def _disk_write(self, tier: str, key: str, payload: Any) -> None:
-        path = self._path(tier, key)
-        if path is None:
+        if self.persist_dir is None:
             return
-        document = {"stamp": self.stamp, "tier": tier, "key": key,
-                    "checksum": payload_checksum(payload),
-                    "payload": payload}
-        raw = json.dumps(document).encode("utf-8")
-        if self._faults is not None:
-            raw = self._faults.corrupt(SITE_CACHE_WRITE, raw)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        # Unique temp name per writer + atomic replace: a concurrent
-        # reader sees either the old complete entry or the new complete
-        # entry, never a torn file.
-        tmp_path = os.path.join(
-            directory, f".{key}.{uuid.uuid4().hex}.tmp")
-        try:
-            with open(tmp_path, "wb") as handle:
-                handle.write(raw)
-            os.replace(tmp_path, path)
-        except OSError:
+        with self._shard_lock(self.shard_of(key), exclusive=True) as held:
+            if not held:
+                self._note_lock_timeout(tier)
+                return  # memory tier already updated; disk write skipped
+            document = {"stamp": self.stamp, "tier": tier, "key": key,
+                        "checksum": payload_checksum(payload),
+                        "payload": payload}
+            raw = json.dumps(document).encode("utf-8")
+            if self._faults is not None:
+                raw = self._faults.corrupt(SITE_CACHE_WRITE, raw)
+            path = self._path(tier, key)
+            directory = os.path.dirname(path)
+            os.makedirs(directory, exist_ok=True)
+            # Unique temp name per writer + atomic replace: a concurrent
+            # reader sees either the old complete entry or the new
+            # complete entry, never a torn file.
+            tmp_path = os.path.join(
+                directory, f".{key}.{uuid.uuid4().hex}.tmp")
             try:
-                os.unlink(tmp_path)
+                with open(tmp_path, "wb") as handle:
+                    handle.write(raw)
+                os.replace(tmp_path, path)
             except OSError:
-                pass
+                try:
+                    os.unlink(tmp_path)
+                except OSError:
+                    pass
+
+    def rebuild(self) -> Dict[str, int]:
+        """Validate every on-disk entry after a restart.
+
+        Walks all shards under an exclusive lock, quarantining entries
+        that fail to parse or checksum and dropping entries stamped by
+        another code revision. Valid entries stay on disk (they promote
+        into memory lazily on first hit). Returns a report:
+        ``{"scanned", "valid", "quarantined", "stale_dropped"}``.
+        """
+        report = {"scanned": 0, "valid": 0, "quarantined": 0,
+                  "stale_dropped": 0}
+        if self.persist_dir is None:
+            return report
+        for shard in range(self.n_shards):
+            shard_dir = self._shard_dir(shard)
+            if not os.path.isdir(shard_dir):
+                continue
+            with self._shard_lock(shard, exclusive=True) as held:
+                if not held:
+                    continue  # busy shard: another process owns it now
+                for tier in TIERS:
+                    tier_dir = os.path.join(shard_dir, tier)
+                    if not os.path.isdir(tier_dir):
+                        continue
+                    for filename in sorted(os.listdir(tier_dir)):
+                        if not filename.endswith(".json"):
+                            continue
+                        path = os.path.join(tier_dir, filename)
+                        report["scanned"] += 1
+                        try:
+                            with open(path, "rb") as handle:
+                                raw = handle.read()
+                        except OSError:  # vanished: a concurrent writer
+                            report["stale_dropped"] += 1
+                            continue
+                        status, _ = self._check_entry(
+                            tier, filename[:-len(".json")], path, raw)
+                        report[status] += 1
+        return report
 
     # -- public API -------------------------------------------------------
 
@@ -378,241 +541,3 @@ class ResultCache:
                 data["bytes"] = sum(self._sizes[tier].values())
                 report[tier] = data
             return report
-
-
-class ShardedResultCache(ResultCache):
-    """Hash-partitioned :class:`ResultCache` safe for concurrent writers
-    across processes.
-
-    The disk layer is split into ``n_shards`` directories
-    (``shard-00/``, ``shard-01/``, ...; a key's shard is its SHA-256
-    prefix mod ``n_shards``), each guarded by a lock file
-    (``locks/shard-NN.lock``, kept outside the shard directory so
-    shard quarantine cannot replace a held lock's inode) taken with
-    ``fcntl.flock`` — shared for reads, exclusive for writes — so
-    a fleet of worker processes and replicas can share one cache
-    directory without coordination. Entry format, checksums, and the
-    per-entry quarantine path are inherited unchanged from the base
-    class (v2 entries).
-
-    Two failure policies are layered on top:
-
-    - **Lock timeouts are misses, never stalls.** A shard lock that
-      cannot be taken within ``lock_timeout`` seconds degrades the
-      operation — reads report a miss, writes update memory only — and
-      is counted in ``repro_cache_lock_timeouts_total{tier=...}``. The
-      ``shard.lock_timeout`` fault site simulates this.
-    - **Shard-level corruption quarantine.** A shard that accumulates
-      ``shard_corruption_threshold`` corrupt entries is presumed
-      damaged (torn filesystem, bad disk) and moved wholesale to the
-      quarantine directory; a fresh empty shard takes its place.
-
-    :meth:`rebuild` is the restart path: it walks every shard, drops
-    stale-stamp entries, quarantines corrupt ones, and reports what it
-    found, so a crashed process's cache directory is verified before
-    being trusted.
-    """
-
-    def __init__(self, max_entries: int = 256,
-                 persist_dir: Optional[str] = None,
-                 metrics=None,
-                 stamp: Optional[str] = None,
-                 faults: Optional[FaultInjector] = None,
-                 n_shards: int = 8,
-                 lock_timeout: float = 2.0,
-                 shard_corruption_threshold: int = 4) -> None:
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
-        super().__init__(max_entries=max_entries, persist_dir=persist_dir,
-                         metrics=metrics, stamp=stamp, faults=faults)
-        self.n_shards = int(n_shards)
-        self.lock_timeout = float(lock_timeout)
-        self._shard_corruption_threshold = int(shard_corruption_threshold)
-        self._shard_corruptions: Dict[int, int] = {}
-        self._lock_timeouts = None
-        if metrics is not None:
-            self._lock_timeouts = metrics.counter(
-                "repro_cache_lock_timeouts_total",
-                "Shard lock acquisitions that timed out (degraded to "
-                "miss/skip).",
-                labelnames=("tier",))
-
-    # -- sharding ----------------------------------------------------------
-
-    def shard_of(self, key: str) -> int:
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return int(digest[:8], 16) % self.n_shards
-
-    def _shard_name(self, shard: int) -> str:
-        return f"shard-{shard:02d}"
-
-    def _shard_dir(self, shard: int) -> str:
-        return os.path.join(self.persist_dir, self._shard_name(shard))
-
-    def _path(self, tier: str, key: str) -> Optional[str]:
-        if self.persist_dir is None:
-            return None
-        return os.path.join(self._shard_dir(self.shard_of(key)),
-                            tier, f"{key}.json")
-
-    def _lock_path(self, shard: int) -> str:
-        # Lock files live OUTSIDE the shard directory: shard quarantine
-        # os.replace()s the whole shard dir, and a lock moved with it
-        # would fork the lock identity — holders of the old inode and
-        # of the fresh file would both believe they hold "the" shard
-        # lock and write concurrently.
-        return os.path.join(self.persist_dir, "locks",
-                            f"{self._shard_name(shard)}.lock")
-
-    # -- shard locks -------------------------------------------------------
-
-    @contextlib.contextmanager
-    def _shard_lock(self, shard: int, exclusive: bool):
-        """Acquire the shard's flock; yields False on (real or injected)
-        timeout instead of blocking callers indefinitely."""
-        if self.persist_dir is None or fcntl is None:
-            yield True
-            return
-        if (self._faults is not None
-                and self._faults.should_fire(SITE_SHARD_LOCK_TIMEOUT)):
-            yield False
-            return
-        os.makedirs(self._shard_dir(shard), exist_ok=True)
-        lock_path = self._lock_path(shard)
-        os.makedirs(os.path.dirname(lock_path), exist_ok=True)
-        operation = fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH
-        deadline = time.monotonic() + self.lock_timeout
-        with open(lock_path, "a") as handle:
-            while True:
-                try:
-                    fcntl.flock(handle.fileno(),
-                                operation | fcntl.LOCK_NB)
-                    break
-                except OSError:
-                    if time.monotonic() > deadline:
-                        yield False
-                        return
-                    time.sleep(0.005)
-            try:
-                yield True
-            finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
-    def _note_lock_timeout(self, tier: str) -> None:
-        if self._lock_timeouts is not None:
-            self._lock_timeouts.inc(tier=tier)
-
-    def _disk_read(self, tier: str, key: str) -> Any:
-        if self.persist_dir is None:
-            return MISS
-        with self._shard_lock(self.shard_of(key), exclusive=False) as held:
-            if not held:
-                self._note_lock_timeout(tier)
-                return MISS
-            return super()._disk_read(tier, key)
-
-    def _disk_write(self, tier: str, key: str, payload: Any) -> None:
-        if self.persist_dir is None:
-            return
-        with self._shard_lock(self.shard_of(key), exclusive=True) as held:
-            if not held:
-                self._note_lock_timeout(tier)
-                return  # memory tier already updated; disk write skipped
-            super()._disk_write(tier, key, payload)
-
-    # -- shard-level quarantine --------------------------------------------
-
-    def _quarantine(self, tier: str, key: str, path: str,
-                    cause: str) -> None:
-        super()._quarantine(tier, key, path, cause)
-        shard = self.shard_of(key)
-        with self._lock:
-            count = self._shard_corruptions.get(shard, 0) + 1
-            self._shard_corruptions[shard] = count
-            tripped = count >= self._shard_corruption_threshold
-            if tripped:
-                self._shard_corruptions[shard] = 0
-        if tripped:
-            self._quarantine_shard(shard)
-
-    def _quarantine_shard(self, shard: int) -> None:
-        """Move a whole damaged shard aside and start it fresh."""
-        source = self._shard_dir(shard)
-        destination = os.path.join(
-            self.persist_dir, QUARANTINE_DIR,
-            f"{self._shard_name(shard)}.{uuid.uuid4().hex[:8]}")
-        try:
-            os.makedirs(os.path.dirname(destination), exist_ok=True)
-            os.replace(source, destination)
-        except OSError:
-            try:
-                shutil.rmtree(source, ignore_errors=True)
-            except OSError:
-                pass
-        try:
-            os.makedirs(source, exist_ok=True)
-        except OSError:
-            pass
-
-    # -- restart path ------------------------------------------------------
-
-    def rebuild(self) -> Dict[str, int]:
-        """Validate every on-disk entry after a restart.
-
-        Walks all shards under an exclusive lock, quarantining entries
-        that fail to parse or checksum and dropping entries stamped by
-        another code revision. Valid entries stay on disk (they promote
-        into memory lazily on first hit). Returns a report:
-        ``{"scanned", "valid", "quarantined", "stale_dropped"}``.
-        """
-        report = {"scanned": 0, "valid": 0, "quarantined": 0,
-                  "stale_dropped": 0}
-        if self.persist_dir is None:
-            return report
-        for shard in range(self.n_shards):
-            shard_dir = self._shard_dir(shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            with self._shard_lock(shard, exclusive=True) as held:
-                if not held:
-                    continue  # busy shard: another process owns it now
-                for tier in TIERS:
-                    tier_dir = os.path.join(shard_dir, tier)
-                    if not os.path.isdir(tier_dir):
-                        continue
-                    for filename in sorted(os.listdir(tier_dir)):
-                        if not filename.endswith(".json"):
-                            continue
-                        key = filename[:-len(".json")]
-                        path = os.path.join(tier_dir, filename)
-                        report["scanned"] += 1
-                        report[self._validate_entry(tier, key, path)] += 1
-        return report
-
-    def _validate_entry(self, tier: str, key: str, path: str) -> str:
-        """Classify one disk entry; quarantines/unlinks as needed."""
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError:
-            return "stale_dropped"  # vanished mid-scan: concurrent writer
-        try:
-            document = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            self._quarantine(tier, key, path, "unparseable")
-            return "quarantined"
-        if not isinstance(document, dict) or "payload" not in document:
-            self._quarantine(tier, key, path, "malformed")
-            return "quarantined"
-        if (document.get("stamp") != self.stamp
-                or document.get("tier") != tier
-                or document.get("key") != key):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return "stale_dropped"
-        if document.get("checksum") != payload_checksum(document["payload"]):
-            self._quarantine(tier, key, path, "checksum mismatch")
-            return "quarantined"
-        return "valid"

@@ -40,12 +40,7 @@ from repro.exceptions import (
     UnknownBaseError,
 )
 from repro.parallel import ProcessWorkerPool, resolve_n_jobs
-from repro.service.cache import (
-    MISS,
-    ResultCache,
-    ShardedResultCache,
-    TIER_ESTIMATE,
-)
+from repro.service.cache import MISS, TIER_ESTIMATE, ResultCache
 from repro.service.faults import (
     SITE_WORKER_KILL,
     SITE_WORKER_STALL,
@@ -105,7 +100,11 @@ class ServiceClient:
         Bounded-queue backpressure limit.
     cache_dir:
         Directory for the persistent cache layer (``None`` = memory
-        only).
+        only). Its shard locks let thread-mode clients, worker
+        processes and replicas share one directory; what a (possibly
+        crashed) predecessor left there is verified at startup
+        (:meth:`~repro.service.cache.ResultCache.rebuild`, reported in
+        :attr:`cache_rebuild`).
     cache_entries:
         Per-tier in-memory LRU bound.
     default_timeout:
@@ -126,20 +125,13 @@ class ServiceClient:
         :class:`~repro.parallel.ProcessWorkerPool` of OS-process
         workers (crash-only serving: a worker that dies or stops
         heartbeating is killed and replaced, the job is requeued, and
-        poison requests are quarantined). Process mode uses a
-        :class:`~repro.service.cache.ShardedResultCache` so the parent
-        and every worker can share one cache directory; the parent
-        still answers warm estimate-tier hits in-process, so repeat
-        traffic never pays the pipe.
+        poison requests are quarantined). The parent and every worker
+        share one cache directory; the parent still answers warm
+        estimate-tier hits in-process, so repeat traffic never pays the
+        pipe.
     cache_shards:
-        Shard count for the sharded cache layout (both sides must
-        agree; ignored when the plain cache is in use).
-    sharded_cache:
-        Force the :class:`~repro.service.cache.ShardedResultCache` even
-        in thread mode. Replica fleets set this so multiple replica
-        processes can share one ``cache_dir`` safely — per-shard file
-        locks serialize cross-process writers. Process mode always
-        shards regardless of this flag.
+        Shard count of the disk cache layout (every process sharing
+        ``cache_dir`` must agree).
     process_pool:
         Optional dict of :class:`~repro.parallel.ProcessWorkerPool`
         overrides (``heartbeat_interval``, ``heartbeat_timeout``,
@@ -155,7 +147,6 @@ class ServiceClient:
                  faults: Optional[FaultInjector] = None,
                  worker_mode: str = "thread",
                  cache_shards: int = 8,
-                 sharded_cache: bool = False,
                  process_pool: Optional[Dict[str, Any]] = None) -> None:
         if worker_mode not in ("thread", "process"):
             raise ConfigurationError(
@@ -183,24 +174,18 @@ class ServiceClient:
             "repro_worker_restarts_total",
             "Replacement worker threads started by supervision.")
         self._pool_restarts_seen = 0
-        #: Cache-directory verification report from process-mode startup
-        #: (``None`` in thread mode / without a persist dir).
+        #: Cache-directory verification report from startup (``None``
+        #: without a cache directory).
         self.cache_rebuild: Optional[Dict[str, int]] = None
         self._process_pool: Optional[ProcessWorkerPool] = None
 
-        if worker_mode == "process" or sharded_cache:
-            self.cache = ShardedResultCache(
-                max_entries=cache_entries, persist_dir=cache_dir,
-                metrics=self.metrics, faults=faults, n_shards=cache_shards)
-            if cache_dir is not None:
-                # Crash-safe restart: verify what a (possibly crashed)
-                # predecessor left on disk before trusting it.
-                self.cache_rebuild = self.cache.rebuild()
-        else:
-            self.cache = ResultCache(max_entries=cache_entries,
-                                     persist_dir=cache_dir,
-                                     metrics=self.metrics,
-                                     faults=faults)
+        self.cache = ResultCache(
+            max_entries=cache_entries, persist_dir=cache_dir,
+            metrics=self.metrics, faults=faults, n_shards=cache_shards)
+        if cache_dir is not None:
+            # Crash-safe restart: verify what a (possibly crashed)
+            # predecessor left on disk before trusting it.
+            self.cache_rebuild = self.cache.rebuild()
 
         if worker_mode == "process":
             pool_options = dict(process_pool or {})

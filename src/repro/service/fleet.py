@@ -12,11 +12,15 @@ port — behind one routing front:
     replica's memory tier, and a slot keeps its keyspace across
     restarts. ``preference(key)`` yields the failover order.
 :class:`ReplicaFleet`
-    Spawns and supervises the replica processes. A replica that exits
-    (crash, SIGKILL, injected ``replica.kill``) is restarted with
-    exponential backoff on the same slot; ``drain()`` delivers SIGTERM
-    to every replica — each finishes its in-flight requests under the
-    standard graceful-drain path — and reaps stragglers.
+    Spawns and supervises the replica processes on the same
+    :class:`~repro.parallel.Supervisor` that runs process-pool workers
+    (spawn, ready handshake, backoff, restart budget, event record). A
+    replica that exits (crash, SIGKILL, injected ``replica.kill``) is
+    restarted with exponential backoff on the same slot, and the
+    backoff resets once a replica has stayed ready for ``max_backoff``
+    seconds; ``drain()`` delivers SIGTERM to every replica — each
+    finishes its in-flight requests under the standard graceful-drain
+    path — and reaps stragglers.
 :class:`FrontServer`
     The routing HTTP front. ``POST /v1/estimate`` / ``POST /v1/sweep``
     are routed by content key along the ring's preference order;
@@ -29,10 +33,10 @@ port — behind one routing front:
     SIGKILLs the preferred replica, and lets failover + supervision
     prove the request still completes.
 
-Every replica may share one ``--cache-dir``: replicas always use the
-:class:`~repro.service.cache.ShardedResultCache` whose per-shard file
-locks make cross-process writers safe, so a result computed by one
-replica warms the whole fleet's disk tier.
+Every replica may share one ``--cache-dir``: the
+:class:`~repro.service.cache.ResultCache`'s per-shard file locks make
+cross-process writers safe, so a result computed by one replica warms
+the whole fleet's disk tier.
 
 Whole-fleet drain: SIGTERM to the front (or :meth:`FrontServer.drain`)
 flips the front unready, drains every replica, then stops the accept
@@ -46,7 +50,6 @@ import bisect
 import hashlib
 import http.client
 import json
-import multiprocessing
 import os
 import signal
 import threading
@@ -57,6 +60,7 @@ from urllib.parse import urlparse
 
 from repro import __version__
 from repro.exceptions import ConfigurationError, ReproError
+from repro.parallel import StartOutcome, Supervisor
 from repro.service.faults import SITE_REPLICA_KILL, FaultInjector
 from repro.service.jobs import EstimateRequest
 from repro.service.metrics import MetricsRegistry
@@ -168,10 +172,9 @@ def _replica_main(conn, index: int, options: Dict[str, Any]) -> None:
         default_timeout=options.get("default_timeout"),
         faults=faults,
         worker_mode=options.get("worker_mode", "thread"),
-        cache_shards=options.get("cache_shards", 8),
         # Replicas may share one cache_dir; per-shard file locks make
         # the cross-process writers safe.
-        sharded_cache=options.get("cache_dir") is not None,
+        cache_shards=options.get("cache_shards", 8),
         process_pool=options.get("process_pool"))
     server = create_server(client, host=options.get("host", "127.0.0.1"),
                            port=0)
@@ -199,24 +202,6 @@ def _replica_main(conn, index: int, options: Dict[str, Any]) -> None:
     os._exit(0)
 
 
-class _ReplicaSlot:
-    """Mutable supervision state for one replica slot (fleet-locked)."""
-
-    __slots__ = ("index", "process", "conn", "port", "pid", "generation",
-                 "restarts", "backoff", "next_start")
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.process = None
-        self.conn = None
-        self.port: Optional[int] = None
-        self.pid: Optional[int] = None
-        self.generation = 0
-        self.restarts = 0
-        self.backoff = 0.0
-        self.next_start = 0.0
-
-
 class ReplicaFleet:
     """Spawn, supervise, and drain N service replica processes.
 
@@ -231,20 +216,26 @@ class ReplicaFleet:
         ``worker_mode``, ``cache_shards``, ``process_pool``,
         ``drain_grace``, ``host``, ``faults_spec``, ``faults_seed``.
     restart_backoff / max_backoff:
-        Exponential per-slot restart delay bounds.
+        Exponential per-slot restart delay bounds. A replica that has
+        been ready for ``max_backoff`` seconds counts as healthy again:
+        its next restart waits ``restart_backoff``.
     max_restarts:
         Fleet-wide restart budget; exceeding it stops supervision (the
         front then reports the slot down rather than flap forever).
-    start_timeout:
+    init_timeout:
         Seconds to wait for a replica's ready handshake.
     poll_interval:
         Supervisor wake period.
+
+    Spawn, handshake, backoff, budget and the event record are the
+    shared :class:`~repro.parallel.Supervisor`'s; the fleet adds the
+    port handshake payload, SIGTERM drain and the replica metrics.
     """
 
     def __init__(self, n_replicas: int,
                  options: Optional[Dict[str, Any]] = None, *,
                  restart_backoff: float = 0.2, max_backoff: float = 5.0,
-                 max_restarts: int = 100, start_timeout: float = 120.0,
+                 max_restarts: int = 100, init_timeout: float = 120.0,
                  poll_interval: float = 0.1,
                  metrics: Optional[MetricsRegistry] = None,
                  name: str = "repro-replica") -> None:
@@ -254,10 +245,6 @@ class ReplicaFleet:
         self.n_replicas = n_replicas
         self.options = dict(options or {})
         self.name = name
-        self.restart_backoff = restart_backoff
-        self.max_backoff = max_backoff
-        self.max_restarts = max_restarts
-        self.start_timeout = start_timeout
         self.poll_interval = poll_interval
         self.metrics = metrics
         self._replica_up = None
@@ -270,196 +257,115 @@ class ReplicaFleet:
             self._replica_restarts = metrics.counter(
                 "repro_replica_restarts_total",
                 "Replica processes restarted by fleet supervision.")
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            self._ctx = multiprocessing.get_context()
-        self._lock = threading.RLock()
-        self._stopping = threading.Event()
-        self._slots = [_ReplicaSlot(index) for index in range(n_replicas)]
+        self._replicas = Supervisor(
+            n_replicas, _replica_main,
+            lambda index, generation, conn: (conn, index, self.options),
+            name=name, init_timeout=init_timeout,
+            restart_backoff=restart_backoff, max_backoff=max_backoff,
+            max_restarts=max_restarts, poll_interval=poll_interval,
+            # Daemonic replicas die with an abandoned parent instead of
+            # holding interpreter exit hostage — crash-only either way.
+            # The exception: process-mode replicas spawn their own
+            # worker children, which multiprocessing forbids for daemons.
+            daemon=self.options.get("worker_mode", "thread") != "process")
+        self._stopping = self._replicas.stopping
         self._supervisor: Optional[threading.Thread] = None
-        #: Supervision findings, newest last (bounded).
-        self.failures: List[str] = []
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
         """Spawn every replica, wait for readiness, start supervision."""
-        for slot in self._slots:
-            self._spawn(slot)
+        for index in range(self.n_replicas):
+            outcome, reason = self._replicas.start(index)
+            if outcome is not StartOutcome.READY:
+                raise ReproError(f"replica {index} {reason}")
+            self._set_up(index, 1)
         self._supervisor = threading.Thread(
             target=self._supervise, name=f"{self.name}-supervisor",
             daemon=True)
         self._supervisor.start()
 
-    def _spawn(self, slot: _ReplicaSlot) -> None:
-        """Start (or restart) one slot's process and wait for readiness.
-
-        Called WITHOUT the fleet lock held: the fork and the
-        (up to ``start_timeout``) handshake wait run unlocked so
-        ``address()``/``liveness()`` — and with them all front routing —
-        never stall behind one slot's restart. Slot state is published
-        under the lock in two steps: the process right after the fork
-        (so :meth:`drain` can always reap it), the port/pid only once
-        the replica reported ready.
-        """
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_replica_main,
-            args=(child_conn, slot.index, self.options),
-            name=f"{self.name}-{slot.index}")
-        # Daemonic replicas die with an abandoned parent instead of
-        # holding interpreter exit hostage — crash-only either way. The
-        # exception: process-mode replicas spawn their own worker
-        # children, which multiprocessing forbids for daemons.
-        process.daemon = (
-            self.options.get("worker_mode", "thread") != "process")
-        process.start()
-        child_conn.close()
-        with self._lock:
-            slot.process = process
-            slot.conn = parent_conn
-            slot.generation += 1
-            slot.port = None
-            slot.pid = None
-        try:
-            if not parent_conn.poll(self.start_timeout):
-                process.terminate()
-                raise ReproError(
-                    f"replica {slot.index} did not report ready within "
-                    f"{self.start_timeout}s")
-            try:
-                message = parent_conn.recv()
-            except (EOFError, OSError) as exc:
-                # The replica died before sending the handshake: poll()
-                # returns True on EOF, then recv() tears. Typed, so
-                # supervision backs off and retries instead of dying.
-                raise ReproError(
-                    f"replica {slot.index} died before its ready "
-                    f"handshake ({type(exc).__name__})") from exc
-        finally:
-            parent_conn.close()
-            with self._lock:
-                slot.conn = None
-        if not (isinstance(message, tuple) and message[0] == "ready"):
-            process.terminate()
-            raise ReproError(
-                f"replica {slot.index} sent unexpected handshake "
-                f"{message!r}")
-        with self._lock:
-            slot.port = int(message[1])
-            slot.pid = int(message[2])
+    def _set_up(self, index: int, value: int) -> None:
         if self._replica_up is not None:
-            self._replica_up.set(1, replica=str(slot.index))
-
-    def _note(self, message: str) -> None:
-        self.failures.append(message)
-        del self.failures[:-64]
+            self._replica_up.set(value, replica=str(index))
 
     def _supervise(self) -> None:
         """Restart dead replicas on their slots with backoff.
 
-        The lock is held only to inspect and update slot state — never
-        across :meth:`_spawn`'s fork + handshake — and any respawn
-        failure is absorbed into backoff, so one flapping slot neither
-        stalls routing to the survivors nor kills supervision.
+        No lock is held across a restart's fork + handshake, and a
+        failed restart is absorbed into the slot's backoff, so one
+        flapping slot neither stalls routing to the survivors nor kills
+        supervision.
         """
+        replicas = self._replicas
         while not self._stopping.wait(self.poll_interval):
-            now = time.monotonic()
-            to_restart: List[_ReplicaSlot] = []
-            with self._lock:
-                for slot in self._slots:
-                    process = slot.process
-                    if process is None or process.is_alive():
-                        continue
-                    if slot.port is not None:
-                        # First observation of this death.
-                        self._note(
-                            f"{self.name}-{slot.index} gen"
-                            f"{slot.generation}: exited with code "
-                            f"{process.exitcode}")
-                        slot.port = None
-                        if self._replica_up is not None:
-                            self._replica_up.set(
-                                0, replica=str(slot.index))
-                        slot.backoff = (self.restart_backoff
-                                        if slot.backoff == 0.0
-                                        else min(2.0 * slot.backoff,
-                                                 self.max_backoff))
-                        slot.next_start = now + slot.backoff
-                    if now < slot.next_start:
-                        continue
-                    total = sum(s.restarts for s in self._slots)
-                    if total >= self.max_restarts:
-                        self._note(
-                            f"{self.name}: restart budget "
-                            f"({self.max_restarts}) exhausted; slot "
-                            f"{slot.index} stays down")
-                        slot.process = None
-                        continue
-                    process.join(timeout=0)
-                    slot.restarts += 1
-                    if self._replica_restarts is not None:
-                        self._replica_restarts.inc()
-                    to_restart.append(slot)
-            for slot in to_restart:
-                if self._stopping.is_set():
-                    break
-                try:
-                    self._spawn(slot)
-                except Exception as exc:  # noqa: BLE001 - keep supervising
-                    self._note(
-                        f"{self.name}-{slot.index}: respawn failed: "
-                        f"{exc}")
-                    with self._lock:
-                        slot.backoff = min(
-                            2.0 * max(slot.backoff, self.restart_backoff),
-                            self.max_backoff)
-                        slot.next_start = (time.monotonic()
-                                           + slot.backoff)
+            for slot in replicas.slots:
+                if self._stopping.is_set() or slot.retired:
+                    continue
+                process = slot.process
+                now = time.monotonic()
+                if process is not None and process.is_alive():
+                    if (slot.ready and slot.failures
+                            and now - slot.ready_at >= replicas.max_backoff):
+                        replicas.healthy(slot.index)
+                    continue
+                if slot.ready:  # first observation of this death
+                    replicas.died(slot.index, "exit",
+                                  f"exited with code {process.exitcode}")
+                    self._set_up(slot.index, 0)
+                if now < slot.next_start:
+                    continue
+                before = replicas.restarts
+                outcome, _ = replicas.start(slot.index)
+                if (self._replica_restarts is not None
+                        and replicas.restarts > before):
+                    self._replica_restarts.inc(replicas.restarts - before)
+                if outcome is StartOutcome.READY:
+                    self._set_up(slot.index, 1)
 
     # -- observation -------------------------------------------------------
 
-    def address(self, index: int) -> Optional[Tuple[str, int]]:
-        """``(host, port)`` for a live slot, else ``None``."""
-        with self._lock:
-            slot = self._slots[index]
-            if (slot.process is not None and slot.process.is_alive()
-                    and slot.port is not None):
-                return (self.options.get("host", "127.0.0.1"), slot.port)
+    def _port(self, index: int) -> Optional[int]:
+        slot = self._replicas.slots[index]
+        process = slot.process
+        if slot.ready and process is not None and process.is_alive():
+            return int(slot.message[1])  # ("ready", port, pid)
         return None
 
+    def address(self, index: int) -> Optional[Tuple[str, int]]:
+        """``(host, port)`` for a live slot, else ``None``."""
+        port = self._port(index)
+        if port is None:
+            return None
+        return (self.options.get("host", "127.0.0.1"), port)
+
     def pids(self) -> List[Optional[int]]:
-        with self._lock:
-            return [slot.pid if slot.process is not None
-                    and slot.process.is_alive() else None
-                    for slot in self._slots]
+        return [entry["pid"] if entry["alive"] else None
+                for entry in self._replicas.liveness()]
 
     @property
     def restarts(self) -> int:
-        with self._lock:
-            return sum(slot.restarts for slot in self._slots)
+        return self._replicas.restarts
+
+    @property
+    def failures(self) -> List[str]:
+        """Supervision findings, newest last (bounded)."""
+        return self._replicas.events.failures
 
     def liveness(self) -> List[Dict[str, Any]]:
         """Per-slot supervision snapshot for the front's healthz."""
-        with self._lock:
-            return [{
-                "replica": slot.index,
-                "pid": slot.pid,
-                "port": slot.port,
-                "alive": (slot.process is not None
-                          and slot.process.is_alive()),
-                "generation": slot.generation,
-                "restarts": slot.restarts,
-            } for slot in self._slots]
+        return [{"replica": entry["slot"], "pid": entry["pid"],
+                 "port": self._port(entry["slot"]), "alive": entry["alive"],
+                 "state": entry["state"], "generation": entry["generation"],
+                 "restarts": entry["restarts"]}
+                for entry in self._replicas.liveness()]
 
     # -- chaos + shutdown --------------------------------------------------
 
     def kill(self, index: int) -> Optional[int]:
         """SIGKILL a replica (the ``replica.kill`` fault); returns pid."""
-        with self._lock:
-            slot = self._slots[index]
-            process, pid = slot.process, slot.pid
+        slot = self._replicas.slots[index]
+        process, pid = slot.process, slot.pid
         if process is None or not process.is_alive() or pid is None:
             return None
         try:
@@ -478,25 +384,18 @@ class ReplicaFleet:
         self._stopping.set()
         if self._supervisor is not None:
             self._supervisor.join(timeout=5.0)
-        with self._lock:
-            processes = [slot.process for slot in self._slots
-                         if slot.process is not None]
-        for process in processes:
-            if process.is_alive():
-                process.terminate()  # SIGTERM -> replica graceful drain
+        slots = self._replicas.slots
+        for slot in slots:
+            if slot.process is not None and slot.process.is_alive():
+                slot.process.terminate()  # SIGTERM -> replica graceful drain
         deadline = time.monotonic() + grace
         clean = True
-        for process in processes:
-            process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if process.is_alive():
-                clean = False
-                process.kill()
-                process.join(timeout=5.0)
-        with self._lock:
-            for slot in self._slots:
-                slot.port = None
-                if self._replica_up is not None:
-                    self._replica_up.set(0, replica=str(slot.index))
+        for slot in slots:
+            if slot.process is not None:
+                slot.process.join(max(0.0, deadline - time.monotonic()))
+                clean = clean and not slot.process.is_alive()
+            self._replicas.kill(slot.index)  # SIGKILL stragglers
+            self._set_up(slot.index, 0)
         return clean
 
     def stop(self, grace: float = 10.0) -> bool:

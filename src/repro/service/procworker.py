@@ -1,11 +1,13 @@
 """Process-mode compute host: the child side of ``worker_mode="process"``.
 
 When a :class:`~repro.service.client.ServiceClient` runs with process
-workers, each worker process builds its own full compute stack after the
-fork — standard-cell library, :class:`EstimationPipeline`, and a
-:class:`~repro.service.cache.ShardedResultCache` pointed at the *same*
+workers, the pool's :class:`~repro.parallel.Supervisor` forks each
+worker, and :func:`worker_init` builds its full compute stack before
+the ready handshake — standard-cell library, :class:`EstimationPipeline`,
+and a :class:`~repro.service.cache.ResultCache` pointed at the *same*
 cache directory as the parent (the per-shard file locks are what make
-that safe). Tasks arrive as small JSON-ish descriptors and results
+that safe). An init that raises is reported to the supervisor as a
+typed start failure, and the slot is restarted with backoff. Tasks arrive as small JSON-ish descriptors and results
 travel back as live, picklable :class:`LeakageEstimate` /
 :class:`SweepResponse` objects, so the parent's cache and waiters see
 exactly the objects a thread worker would have produced.
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.parallel import process_worker_context
-from repro.service.cache import ShardedResultCache
+from repro.service.cache import ResultCache
 from repro.service.faults import (
     SITE_CACHE_READ,
     SITE_CACHE_WRITE,
@@ -145,7 +147,7 @@ def _child_faults(config: ProcessWorkerConfig) -> Optional[FaultInjector]:
 def worker_init(config: ProcessWorkerConfig) -> _WorkerState:
     """Pool ``init_fn``: build the child-side cache, faults, pipeline."""
     faults = _child_faults(config)
-    cache = ShardedResultCache(
+    cache = ResultCache(
         max_entries=config.cache_entries,
         persist_dir=config.cache_dir,
         stamp=config.cache_stamp,

@@ -5,13 +5,13 @@ from __future__ import annotations
 import json
 import os
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.service.cache import (
     MISS,
     ResultCache,
-    ShardedResultCache,
     TIER_CHARACTERIZATION,
     TIER_ESTIMATE,
     TIER_RG,
@@ -81,12 +81,12 @@ class TestDiskTier:
     def test_no_payload_means_memory_only(self, tmp_path):
         cache = ResultCache(persist_dir=str(tmp_path))
         cache.put(TIER_RG, "k", object())
-        assert not os.path.exists(tmp_path / TIER_RG / "k.json")
+        assert not os.path.exists(cache._path(TIER_RG, "k"))
 
     def test_stale_stamp_invalidates_and_removes(self, tmp_path):
         old = ResultCache(persist_dir=str(tmp_path), stamp="v1:old-rev")
         old.put(TIER_ESTIMATE, "k", 1, payload=1)
-        path = tmp_path / TIER_ESTIMATE / "k.json"
+        path = Path(old._path(TIER_ESTIMATE, "k"))
         assert path.exists()
         new = ResultCache(persist_dir=str(tmp_path), stamp="v1:new-rev")
         assert new.get(TIER_ESTIMATE, "k") is MISS
@@ -94,10 +94,13 @@ class TestDiskTier:
 
     def test_torn_or_foreign_files_read_as_miss(self, tmp_path):
         cache = ResultCache(persist_dir=str(tmp_path))
-        directory = tmp_path / TIER_ESTIMATE
-        directory.mkdir(parents=True)
-        (directory / "torn.json").write_text('{"stamp": "x", "pay')
-        (directory / "foreign.json").write_text(json.dumps([1, 2, 3]))
+        for key in ("torn", "foreign"):
+            Path(cache._path(TIER_ESTIMATE, key)).parent.mkdir(
+                parents=True, exist_ok=True)
+        Path(cache._path(TIER_ESTIMATE, "torn")).write_text(
+            '{"stamp": "x", "pay')
+        Path(cache._path(TIER_ESTIMATE, "foreign")).write_text(
+            json.dumps([1, 2, 3]))
         assert cache.get(TIER_ESTIMATE, "torn") is MISS
         assert cache.get(TIER_ESTIMATE, "foreign") is MISS
 
@@ -124,7 +127,7 @@ class TestConcurrency:
 
         def reader():
             start.wait()
-            path = tmp_path / TIER_ESTIMATE / "contested.json"
+            path = Path(cache._path(TIER_ESTIMATE, "contested"))
             seen = 0
             while seen < rounds * 2:
                 seen += 1
@@ -149,7 +152,8 @@ class TestConcurrency:
             thread.join()
         assert not errors
         # No temp files left behind.
-        leftovers = [name for name in os.listdir(tmp_path / TIER_ESTIMATE)
+        directory = os.path.dirname(cache._path(TIER_ESTIMATE, "contested"))
+        leftovers = [name for name in os.listdir(directory)
                      if name.endswith(".tmp")]
         assert leftovers == []
         # And the final entry is complete and current.
@@ -183,8 +187,8 @@ class TestIntegrity:
     """Checksummed disk entries: tampering is detected, quarantined,
     and answered with a MISS — never with corrupt data."""
 
-    def _edit_entry(self, tmp_path, mutate):
-        path = tmp_path / TIER_ESTIMATE / "k.json"
+    def _edit_entry(self, cache, mutate):
+        path = Path(cache._path(TIER_ESTIMATE, "k"))
         document = json.loads(path.read_text())
         mutate(document)
         path.write_text(json.dumps(document))
@@ -192,7 +196,7 @@ class TestIntegrity:
     def test_tampered_payload_fails_checksum_and_quarantines(self, tmp_path):
         cache = ResultCache(persist_dir=str(tmp_path))
         cache.put(TIER_ESTIMATE, "k", {"mean": 1.0}, payload={"mean": 1.0})
-        self._edit_entry(tmp_path, lambda doc: doc["payload"].update(
+        self._edit_entry(cache, lambda doc: doc["payload"].update(
             mean=2.0))  # flip a number, keep valid JSON
         cache.clear_memory()
         assert cache.get(TIER_ESTIMATE, "k") is MISS
@@ -203,7 +207,7 @@ class TestIntegrity:
         assert len(quarantined) == 1
         assert quarantined[0].name.startswith(f"{TIER_ESTIMATE}.k.")
         # The original slot is free for a clean recompute.
-        assert not (tmp_path / TIER_ESTIMATE / "k.json").exists()
+        assert not os.path.exists(cache._path(TIER_ESTIMATE, "k"))
         cache.put(TIER_ESTIMATE, "k", {"mean": 1.0}, payload={"mean": 1.0})
         cache.clear_memory()
         assert cache.get(TIER_ESTIMATE, "k") == {"mean": 1.0}
@@ -211,7 +215,7 @@ class TestIntegrity:
     def test_stale_stamp_is_dropped_not_quarantined(self, tmp_path):
         cache = ResultCache(persist_dir=str(tmp_path))
         cache.put(TIER_ESTIMATE, "k", {"v": 1}, payload={"v": 1})
-        self._edit_entry(tmp_path, lambda doc: doc.update(
+        self._edit_entry(cache, lambda doc: doc.update(
             stamp="other-revision"))
         cache.clear_memory()
         assert cache.get(TIER_ESTIMATE, "k") is MISS
@@ -256,8 +260,8 @@ class TestIntegrity:
 
 def _sharded_writer_main(persist_dir, writer_index, n_keys):
     """Child-process body for the cross-process writer test."""
-    cache = ShardedResultCache(persist_dir=persist_dir, n_shards=4,
-                               stamp="v2:test")
+    cache = ResultCache(persist_dir=persist_dir, n_shards=4,
+                        stamp="v2:test")
     for item in range(n_keys):
         key = f"proc-{writer_index}-{item}"
         cache.put(TIER_ESTIMATE, key, {"v": item},
@@ -266,7 +270,7 @@ def _sharded_writer_main(persist_dir, writer_index, n_keys):
 
 class TestShardedCache:
     def test_round_trip_lands_in_shard_directories(self, tmp_path):
-        cache = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4)
+        cache = ResultCache(persist_dir=str(tmp_path), n_shards=4)
         keys = [f"key-{index}" for index in range(16)]
         for index, key in enumerate(keys):
             cache.put(TIER_ESTIMATE, key, {"v": index},
@@ -281,9 +285,9 @@ class TestShardedCache:
         assert len({cache.shard_of(key) for key in keys}) > 1
 
     def test_persistence_across_instances(self, tmp_path):
-        first = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4)
+        first = ResultCache(persist_dir=str(tmp_path), n_shards=4)
         first.put(TIER_ESTIMATE, "k", {"mean": 2.5}, payload={"mean": 2.5})
-        second = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4)
+        second = ResultCache(persist_dir=str(tmp_path), n_shards=4)
         assert second.get(TIER_ESTIMATE, "k") == {"mean": 2.5}
 
     def test_concurrent_writers_across_processes(self, tmp_path):
@@ -302,8 +306,8 @@ class TestShardedCache:
         for process in processes:
             process.join(timeout=60)
             assert process.exitcode == 0
-        reader = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4,
-                                    stamp="v2:test")
+        reader = ResultCache(persist_dir=str(tmp_path), n_shards=4,
+                             stamp="v2:test")
         for writer_index in range(n_writers):
             for item in range(per_writer):
                 key = f"proc-{writer_index}-{item}"
@@ -315,12 +319,12 @@ class TestShardedCache:
             FaultInjector, FaultRule, SITE_SHARD_LOCK_TIMEOUT)
 
         registry = MetricsRegistry()
-        clean = ShardedResultCache(persist_dir=str(tmp_path), n_shards=2)
+        clean = ResultCache(persist_dir=str(tmp_path), n_shards=2)
         clean.put(TIER_ESTIMATE, "k", {"v": 1}, payload={"v": 1})
         faults = FaultInjector(
             {SITE_SHARD_LOCK_TIMEOUT: FaultRule(1.0, 2)})
-        cache = ShardedResultCache(persist_dir=str(tmp_path), n_shards=2,
-                                   metrics=registry, faults=faults)
+        cache = ResultCache(persist_dir=str(tmp_path), n_shards=2,
+                            metrics=registry, faults=faults)
         # Fire 1: the read lock "times out" -> miss, not a hang.
         assert cache.get(TIER_ESTIMATE, "k") is MISS
         # Fire 2: the write lock "times out" -> memory updated, disk not.
@@ -348,8 +352,8 @@ class TestShardedCache:
         return target, keys
 
     def test_repeated_corruption_quarantines_the_whole_shard(self, tmp_path):
-        cache = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4,
-                                   shard_corruption_threshold=3)
+        cache = ResultCache(persist_dir=str(tmp_path), n_shards=4,
+                            shard_corruption_threshold=3)
         shard, keys = self._same_shard_keys(cache, 4)
         for key in keys:
             cache.put(TIER_ESTIMATE, key, {"v": 1}, payload={"v": 1})
@@ -374,8 +378,8 @@ class TestShardedCache:
         assert cache.get(TIER_ESTIMATE, keys[3]) == {"v": 5}
 
     def test_shard_lock_identity_survives_shard_quarantine(self, tmp_path):
-        cache = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4,
-                                   shard_corruption_threshold=1)
+        cache = ResultCache(persist_dir=str(tmp_path), n_shards=4,
+                            shard_corruption_threshold=1)
         shard, (key,) = self._same_shard_keys(cache, 1)
         cache.put(TIER_ESTIMATE, key, {"v": 1}, payload={"v": 1})
         # Lock files live outside the shard directory...
@@ -398,7 +402,7 @@ class TestShardedCache:
         assert lock_path.stat().st_ino == inode
 
     def test_rebuild_validates_quarantines_and_drops(self, tmp_path):
-        cache = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4)
+        cache = ResultCache(persist_dir=str(tmp_path), n_shards=4)
         for index in range(6):
             cache.put(TIER_ESTIMATE, f"good-{index}", {"v": index},
                       payload={"v": index})
@@ -414,7 +418,7 @@ class TestShardedCache:
         document["stamp"] = "v2:other-revision"
         stale_path.write_text(json.dumps(document))
 
-        restarted = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4)
+        restarted = ResultCache(persist_dir=str(tmp_path), n_shards=4)
         report = restarted.rebuild()
         assert report["scanned"] == 6
         assert report["valid"] == 4
@@ -425,3 +429,26 @@ class TestShardedCache:
                 "v": index}
         assert restarted.get(TIER_ESTIMATE, "good-0") is MISS
         assert restarted.get(TIER_ESTIMATE, "good-1") is MISS
+
+
+class TestClientStartup:
+    def test_thread_mode_rebuild_quarantines_a_corrupt_entry(self, tmp_path):
+        from repro.service import ServiceClient
+
+        writer = ResultCache(persist_dir=str(tmp_path))
+        writer.put(TIER_ESTIMATE, "good", {"v": 1}, payload={"v": 1})
+        writer.put(TIER_ESTIMATE, "bad", {"v": 2}, payload={"v": 2})
+        Path(writer._path(TIER_ESTIMATE, "bad")).write_text('{"stamp": "x')
+
+        client = ServiceClient(workers=1, cache_dir=str(tmp_path))
+        try:
+            assert client.worker_mode == "thread"
+            assert client.cache_rebuild == {
+                "scanned": 2, "valid": 1, "quarantined": 1,
+                "stale_dropped": 0}
+            assert [entry.name.split(".")[:2] for entry
+                    in (tmp_path / "quarantine").iterdir()] == [
+                [TIER_ESTIMATE, "bad"]]
+            assert client.cache.get(TIER_ESTIMATE, "good") == {"v": 1}
+        finally:
+            client.close()

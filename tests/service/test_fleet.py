@@ -306,6 +306,37 @@ class TestSupervisionRobustness:
             fleet.stop(grace=5.0)
 
 
+    def test_backoff_resets_after_a_healthy_spell(self):
+        # A replica that stays ready for max_backoff seconds counts as
+        # healthy again, so its next restart waits restart_backoff, not
+        # the doubled delay a second consecutive death would earn.
+        fleet = ReplicaFleet(1, dict(REPLICA_OPTIONS), restart_backoff=0.5,
+                             max_backoff=1.5, poll_interval=0.02)
+        fleet.start()
+
+        def restart_delay():
+            generation = fleet.liveness()[0]["generation"]
+            killed = time.monotonic()
+            assert fleet.kill(0) is not None
+            while fleet.liveness()[0]["generation"] == generation:
+                assert time.monotonic() < killed + 30.0, fleet.failures
+                time.sleep(0.005)
+            delay = time.monotonic() - killed
+            while fleet.address(0) is None:
+                assert time.monotonic() < killed + 60.0, fleet.failures
+                time.sleep(0.02)
+            return delay
+
+        try:
+            first = restart_delay()
+            time.sleep(1.5 + 0.5)  # ready for longer than max_backoff
+            second = restart_delay()
+            assert 0.5 <= first < 0.85
+            assert 0.5 <= second < 0.85, (first, second)
+        finally:
+            fleet.stop(grace=5.0)
+
+
 class TestFleetDrain:
     def test_whole_fleet_drain_reaps_every_replica(self):
         fleet, front = create_front(2, options=dict(REPLICA_OPTIONS),

@@ -246,3 +246,20 @@ def test_queued_tasks_are_cancelled_on_stop():
         queued.result(10.0)
     with pytest.raises(WorkerCrashedError):
         blocker.result(10.0)
+
+
+def test_killed_worker_leaves_one_exit_event_then_restarts(pool):
+    import signal
+
+    first_pid = pool.run({"action": "echo", "value": 0}, wait=30.0)["pid"]
+    os.kill(first_pid, signal.SIGKILL)
+    result = pool.run({"action": "echo", "value": 1}, wait=30.0)
+    assert result["pid"] != first_pid
+    exits = [event for event in pool.events if event["event"] == "exit"]
+    assert len(exits) == 1
+    assert exits[0]["pid"] == first_pid
+    assert exits[0]["supervisor"] == "test-pool"
+    assert (exits[0]["slot"], exits[0]["generation"]) == (0, 1)
+    assert pool.restarts == 1
+    [entry] = pool.liveness()
+    assert entry["pid"] == result["pid"] and entry["restarts"] == 1
