@@ -12,17 +12,13 @@ work: it degrades to a plain in-process loop at ``n_jobs=1`` (no pool,
 no copies), and otherwise guarantees that results come back in task
 order, so reductions stay deterministic regardless of worker scheduling.
 
-:class:`ThreadWorkerPool` is the long-lived counterpart used by the
-estimation service: a fixed set of named daemon threads that each run a
-caller-supplied drain loop (e.g. pulling jobs off a scheduler queue)
-until the pool is stopped. Threads are the right grain there — the
-numpy-heavy estimator kernels release the GIL, and each job can still
-fan its inner block loop out over :func:`parallel_map` processes.
-
 :class:`Supervisor` is the one child-process supervisor: spawn, ready
 handshake, backoff, a shared restart budget, liveness and a bounded
 :class:`EventRecord`. :class:`ProcessWorkerPool` runs its worker
-processes on it, and so does the service's replica fleet.
+processes on it, and so does the service's replica fleet. The service's
+worker *threads* are supervised by the estimation scheduler itself
+(:class:`repro.service.scheduler.EstimationScheduler`), which records
+its crashes and abandonments in an :class:`EventRecord` too.
 """
 
 from __future__ import annotations
@@ -74,172 +70,6 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     return n_jobs
 
 
-class ThreadWorkerPool:
-    """A supervised pool of long-lived worker threads running one drain loop.
-
-    Parameters
-    ----------
-    worker_loop:
-        ``worker_loop(stop: threading.Event)`` — called once per worker
-        thread; expected to loop, polling/waiting for work, until
-        ``stop`` is set. Exceptions escaping the loop terminate only
-        that worker (they are recorded, not re-raised).
-    n_workers:
-        Thread count (see :func:`resolve_n_jobs`; ``-1`` for one per
-        CPU).
-    name:
-        Thread-name prefix, for debuggability.
-    restart:
-        When True, a worker whose loop dies on an exception is replaced
-        by a fresh thread (up to ``max_restarts`` total), so one crash
-        never permanently shrinks serving capacity.
-    on_crash:
-        ``on_crash(exc)`` — called *in the dying thread* before the
-        replacement starts; the estimation scheduler uses it to requeue
-        the job the crashed worker was holding.
-    max_restarts:
-        Lifetime cap on replacement threads (crash + :meth:`replace`),
-        a circuit against tight crash loops. When exhausted the pool
-        shrinks and health checks surface it.
-
-    The threads are daemonic so a forgotten pool never blocks
-    interpreter shutdown; call :meth:`stop` for an orderly drain.
-    """
-
-    def __init__(self, worker_loop: Callable[[threading.Event], None],
-                 n_workers: int = 2, name: str = "repro-worker",
-                 restart: bool = False,
-                 on_crash: Optional[Callable[[BaseException], None]] = None,
-                 max_restarts: int = 100) -> None:
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
-        self._worker_loop = worker_loop
-        self._name = name
-        self._restart = restart
-        self._on_crash = on_crash
-        self._max_restarts = int(max_restarts)
-        self.restarts = 0
-        self._events = EventRecord(name)
-        self._threads: List[threading.Thread] = []
-        for index in range(resolve_n_jobs(n_workers)):
-            thread = threading.Thread(
-                target=self._run, args=(worker_loop,),
-                name=f"{name}-{index}", daemon=True)
-            self._threads.append(thread)
-            thread.start()
-
-    def _run(self, worker_loop) -> None:
-        try:
-            worker_loop(self._stop)
-        except BaseException as exc:  # noqa: BLE001 - recorded for inspection
-            thread = threading.current_thread()
-            self._events.record(thread.name[len(self._name) + 1:], 0,
-                                os.getpid(), "exit",
-                                f"{type(exc).__name__}: {exc}")
-            if self._on_crash is not None:
-                try:
-                    self._on_crash(exc)
-                except Exception:  # noqa: BLE001 - crash handler isolation
-                    pass
-            if self._restart:
-                self._spawn_replacement(threading.current_thread())
-
-    def _spawn_replacement(
-            self, dead: Optional[threading.Thread]) -> Optional[
-            threading.Thread]:
-        with self._lock:
-            if self._stop.is_set() or self.restarts >= self._max_restarts:
-                return None
-            if dead is not None:
-                try:
-                    self._threads.remove(dead)
-                except ValueError:
-                    return None  # already detached/replaced by someone else
-            self.restarts += 1
-            thread = threading.Thread(
-                target=self._run, args=(self._worker_loop,),
-                name=f"{self._name}-r{self.restarts}", daemon=True)
-            self._threads.append(thread)
-            # Start while still holding the lock: stop() snapshots the
-            # thread list under this lock, and joining a registered but
-            # never-started thread raises RuntimeError.
-            thread.start()
-        return thread
-
-    def replace(self, ident: int) -> Optional[threading.Thread]:
-        """Detach the (hung) worker with thread id ``ident``, start a fresh one.
-
-        The detached thread is left to finish on its own (it is daemonic
-        and no longer tracked, joined, or counted); the replacement
-        restores capacity immediately. Returns the new thread, or None
-        when ``ident`` is unknown, the pool is stopped, or the restart
-        budget is spent.
-        """
-        with self._lock:
-            dead = next((thread for thread in self._threads
-                         if thread.ident == ident), None)
-        if dead is None:
-            return None
-        return self._spawn_replacement(dead)
-
-    def ensure_workers(self) -> int:
-        """Replace tracked threads that died without a crash callback.
-
-        Belt-and-braces sweep for the supervisor loop; returns how many
-        replacements were started.
-        """
-        if not self._restart or self._stop.is_set():
-            return 0
-        with self._lock:
-            dead = [thread for thread in self._threads
-                    if thread.ident is not None and not thread.is_alive()]
-        return sum(
-            1 for thread in dead if self._spawn_replacement(thread))
-
-    @property
-    def n_workers(self) -> int:
-        with self._lock:
-            return len(self._threads)
-
-    @property
-    def alive_count(self) -> int:
-        """Tracked workers still running their loop."""
-        with self._lock:
-            return sum(thread.is_alive() for thread in self._threads)
-
-    @property
-    def failures(self) -> List[str]:
-        """Exceptions that escaped worker loops, as reason strings (the
-        last :data:`EVENT_CAPACITY`; should be empty)."""
-        return self._events.failures
-
-    @property
-    def stopped(self) -> bool:
-        return self._stop.is_set()
-
-    def liveness(self) -> List[Dict[str, Any]]:
-        """Per-worker liveness entries, shaped like
-        :meth:`ProcessWorkerPool.liveness` (threads share the process
-        pid and have no heartbeat or per-slot restart count)."""
-        with self._lock:
-            threads = list(self._threads)
-        pid = os.getpid()
-        return [{"worker": thread.name, "pid": pid,
-                 "alive": thread.is_alive(),
-                 "state": "up" if thread.is_alive() else "down",
-                 "restarts": None, "heartbeat_age_s": None}
-                for thread in threads]
-
-    def stop(self, join: bool = True, timeout: Optional[float] = 5.0) -> None:
-        """Signal every worker to finish and (optionally) join them."""
-        self._stop.set()
-        with self._lock:
-            threads = list(self._threads)
-        if join:
-            for thread in threads:
-                thread.join(timeout=timeout)
-
-
 def _export_arrays(arrays: Mapping[str, np.ndarray]):
     """Copy arrays into fresh shared-memory segments.
 
@@ -269,8 +99,9 @@ def _tracker_pid() -> Optional[int]:
 
 def _worker_init(specs, payload, parent_tracker_pid) -> None:
     """Pool initializer: attach the parent's shared segments read-only."""
+    global _WORKER_PAYLOAD
     _WORKER_ARRAYS.clear()
-    _WORKER_PAYLOAD_SET(payload)
+    _WORKER_PAYLOAD = payload
     for name, (segment_name, shape, dtype) in specs.items():
         segment = shared_memory.SharedMemory(name=segment_name)
         # Attaching registers the segment with this process's resource
@@ -288,11 +119,6 @@ def _worker_init(specs, payload, parent_tracker_pid) -> None:
         array = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
         array.flags.writeable = False
         _WORKER_ARRAYS[name] = array
-
-
-def _WORKER_PAYLOAD_SET(payload) -> None:
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = payload
 
 
 class _TracedResult(NamedTuple):
@@ -440,8 +266,9 @@ class EventRecord:
     Each event is a dict with ``ts``, ``supervisor``, ``slot``,
     ``generation``, ``pid``, ``event`` (``exit``, ``heartbeat_missed``,
     ``init_failed``, ``init_timeout``, ``respawn_failed``,
-    ``budget_exhausted`` or ``quarantine``) and ``reason``, and is also
-    logged as one JSON line on the ``repro.supervisor`` logger.
+    ``budget_exhausted``, ``quarantine`` or ``abandoned``) and
+    ``reason``, and is also logged as one JSON line on the
+    ``repro.supervisor`` logger.
     """
 
     def __init__(self, supervisor: str) -> None:
@@ -844,7 +671,7 @@ class PoolFuture:
 class ProcessWorkerPool:
     """Supervised OS-process workers with heartbeats and crash requeue.
 
-    The crash-only sibling of :class:`ThreadWorkerPool`: each worker is
+    Crash-only serving: each worker is
     a separate process running ``work_fn(state, payload)`` where
     ``state = init_fn()`` is built once per process *after* the fork
     (so no parent locks or file handles are relied on). A shepherd
@@ -1120,13 +947,12 @@ class ProcessWorkerPool:
     # -- introspection -----------------------------------------------------
 
     @property
-    def n_workers(self) -> int:
-        return len(self._slots)
-
-    @property
-    def alive_count(self) -> int:
-        return sum(1 for slot in self._slots
-                   if slot.process is not None and slot.process.is_alive())
+    def live_slots(self) -> int:
+        """Slots still serving, starting or restarting a worker (0 once
+        the pool has stopped or retired)."""
+        if self._stop.is_set():
+            return 0
+        return sum(not slot.retired for slot in self._slots)
 
     @property
     def restarts(self) -> int:

@@ -47,6 +47,7 @@ from repro.service.faults import (
     FaultInjector,
 )
 from repro.service.procworker import (
+    ProcessTask,
     ProcessWorkerConfig,
     run_task,
     worker_init,
@@ -71,22 +72,14 @@ SweepLike = Union[SweepRequest, Dict[str, Any]]
 WhatIfLike = Union[WhatIfRequest, Dict[str, Any]]
 
 
-def _as_request(request: RequestLike) -> EstimateRequest:
-    if isinstance(request, EstimateRequest):
-        return request
-    return EstimateRequest.from_dict(request)
-
-
-def _as_sweep(request: SweepLike) -> SweepRequest:
-    if isinstance(request, SweepRequest):
-        return request
-    return SweepRequest.from_dict(request)
-
-
-def _as_whatif(request: WhatIfLike) -> WhatIfRequest:
-    if isinstance(request, WhatIfRequest):
-        return request
-    return WhatIfRequest.from_dict(request)
+def _coerce(cls, request, fields=None):
+    """``request`` as a ``cls`` instance: taken as is, parsed from its
+    dict form, or — when ``request`` is None — built from ``fields``."""
+    if request is None:
+        return cls(**fields)
+    if fields:
+        raise TypeError("pass either a request or keyword fields, not both")
+    return request if isinstance(request, cls) else cls.from_dict(request)
 
 
 class ServiceClient:
@@ -172,7 +165,7 @@ class ServiceClient:
             labelnames=("worker",))
         self._worker_restarts_total = self.metrics.counter(
             "repro_worker_restarts_total",
-            "Replacement worker threads started by supervision.")
+            "Worker restarts spent by supervision.")
         self._pool_restarts_seen = 0
         #: Cache-directory verification report from startup (``None``
         #: without a cache directory).
@@ -187,6 +180,11 @@ class ServiceClient:
             # predecessor left on disk before trusting it.
             self.cache_rebuild = self.cache.rebuild()
 
+        self.pipeline = EstimationPipeline(cache=self.cache,
+                                           metrics=self.metrics,
+                                           library=library,
+                                           faults=faults)
+        compute = self.pipeline.run
         if worker_mode == "process":
             pool_options = dict(process_pool or {})
             config = ProcessWorkerConfig(
@@ -208,25 +206,11 @@ class ServiceClient:
                 name="repro-procworker",
                 timeout_error=DeadlineExceeded,
                 **pool_options)
-            compute = self._compute_process
-        else:
-            compute = self._compute
-        self.pipeline = EstimationPipeline(cache=self.cache,
-                                           metrics=self.metrics,
-                                           library=library,
-                                           faults=faults)
+            compute = self._compute_in_worker
         self.scheduler = EstimationScheduler(
             compute, workers=workers, queue_limit=queue_limit,
             default_timeout=default_timeout, metrics=self.metrics,
             faults=faults)
-
-    def _compute(self, request, job=None):
-        """Scheduler compute hook: dispatch on the request type."""
-        if isinstance(request, SweepRequest):
-            return self.pipeline.sweep(request, job)
-        if isinstance(request, WhatIfRequest):
-            return self.pipeline.whatif(request, job)
-        return self.pipeline(request, job)
 
     # -- process-mode dispatch --------------------------------------------
 
@@ -245,46 +229,30 @@ class ServiceClient:
             return "stall"
         return None
 
-    def _compute_process(self, request, job=None):
-        """Scheduler compute hook for process mode: descriptor over the
-        pipe out, live result object back.
+    def _compute_in_worker(self, request, job: Job):
+        """Scheduler compute hook for process mode: the request object
+        over the pipe out, the live result object back.
 
         The estimate-tier warm path stays in the parent — a memory or
         disk hit never touches the pool — so warm latency matches
         thread mode. Cold results are computed (and disk-cached) by a
-        worker process, then promoted into the parent's memory tier.
+        worker process; cold estimates are then promoted into the
+        parent's memory tier.
         """
-        if isinstance(request, SweepRequest):
-            key = request.key()
-            descriptor = {"kind": "sweep", "request": request.to_dict()}
-        elif isinstance(request, WhatIfRequest):
-            base_request = self.pipeline.base_request(request.base)
-            if base_request is None:
-                raise UnknownBaseError(
-                    f"unknown base {request.base!r}; run the full "
-                    "estimate first — the server records every estimate "
-                    "it serves under its content hash")
-            key = request.key()
-            descriptor = {"kind": "whatif", "request": request.to_dict(),
-                          "base_request": base_request.to_dict()}
-        else:
-            key = request.key()
-            self.pipeline._record_base(key, request)
-            cached = self.cache.get(TIER_ESTIMATE, key,
-                                    revive=LeakageEstimate.from_dict)
+        key = request.key()
+        is_estimate = isinstance(request, EstimateRequest)
+        if is_estimate:
+            cached = self.pipeline.cached_estimate(request, key)
             if cached is not MISS:
                 return cached
-            descriptor = {"kind": "estimate", "request": request.to_dict()}
-        if job is not None:
-            descriptor["id"] = job.id
-        remaining = job.time_remaining() if job is not None else None
+        base = (self.pipeline.base_request(request.base)
+                if isinstance(request, WhatIfRequest) else None)
+        remaining = job.time_remaining()
         pool_timeout = None
         if remaining is not None:
             if remaining <= 0:
                 raise DeadlineExceeded(
-                    f"job {descriptor.get('id', key[:12])} exceeded its "
-                    "deadline before dispatch")
-            descriptor["remaining"] = remaining
+                    f"job {job.id} exceeded its deadline before dispatch")
             # The worker aborts cooperatively at `remaining`; the hard
             # kill fires slightly later so a typed DeadlineExceeded can
             # cross the pipe — and well inside the scheduler
@@ -292,14 +260,10 @@ class ServiceClient:
             # abandoned while the pool is still resolving the future.
             pool_timeout = remaining + min(
                 0.5, 0.45 * self.scheduler.hang_grace)
-        chaos = self._draw_chaos()
-        if chaos is not None:
-            descriptor["chaos"] = chaos
-            descriptor["stall_seconds"] = self._chaos_stall_seconds
-        result = self._process_pool.run(descriptor, key=key,
-                                        timeout=pool_timeout)
-        if (isinstance(request, EstimateRequest)
-                and not result.details.get("degraded")):
+        task = ProcessTask(request, base, job.id, remaining,
+                           self._draw_chaos(), self._chaos_stall_seconds)
+        result = self._process_pool.run(task, key=key, timeout=pool_timeout)
+        if is_estimate and not result.details.get("degraded"):
             # Memory tier only: the worker already wrote the disk entry
             # under the shard lock. Cache entries never carry traces
             # (a hit would replay this request's spans).
@@ -319,19 +283,16 @@ class ServiceClient:
         Accepts an :class:`EstimateRequest`, a request dict, or keyword
         fields (``client.estimate(n_cells=..., width_mm=..., ...)``).
         """
-        if request is None:
-            request = EstimateRequest(**fields)
-        elif fields:
-            raise TypeError("pass either a request or keyword fields, "
-                            "not both")
+        request = _coerce(EstimateRequest, request, fields)
         self._submissions.inc(mode="sync")
-        return self.scheduler.estimate(_as_request(request), timeout=timeout)
+        return self.scheduler.estimate(request, timeout=timeout)
 
     def submit(self, request: RequestLike,
                timeout: Optional[float] = None) -> Job:
         """Asynchronous submit; returns the (possibly coalesced) job."""
         self._submissions.inc(mode="async")
-        return self.scheduler.submit(_as_request(request), timeout=timeout)
+        return self.scheduler.submit(_coerce(EstimateRequest, request),
+                                     timeout=timeout)
 
     def sweep(self, request: Optional[SweepLike] = None,
               timeout: Optional[float] = None, **fields) -> SweepResponse:
@@ -343,20 +304,17 @@ class ServiceClient:
         derived requests; the shared artifacts are computed once and
         each point back-fills the estimate cache tier.
         """
-        if request is None:
-            request = SweepRequest(**fields)
-        elif fields:
-            raise TypeError("pass either a request or keyword fields, "
-                            "not both")
+        request = _coerce(SweepRequest, request, fields)
         self._submissions.inc(mode="sweep")
-        job = self.scheduler.submit(_as_sweep(request), timeout=timeout)
+        job = self.scheduler.submit(request, timeout=timeout)
         return self.scheduler.wait(job, timeout=timeout)
 
     def submit_sweep(self, request: SweepLike,
                      timeout: Optional[float] = None) -> Job:
         """Asynchronous sweep submit; poll/wait the returned job."""
         self._submissions.inc(mode="sweep_async")
-        return self.scheduler.submit(_as_sweep(request), timeout=timeout)
+        return self.scheduler.submit(_coerce(SweepRequest, request),
+                                     timeout=timeout)
 
     def whatif(self, request: Optional[WhatIfLike] = None,
                timeout: Optional[float] = None,
@@ -368,20 +326,17 @@ class ServiceClient:
         the content hash of a previously served estimate request; see
         ``docs/SERVICE.md``, "Incremental estimation".
         """
-        if request is None:
-            request = WhatIfRequest(**fields)
-        elif fields:
-            raise TypeError("pass either a request or keyword fields, "
-                            "not both")
+        request = _coerce(WhatIfRequest, request, fields)
         self._submissions.inc(mode="whatif")
-        job = self.scheduler.submit(_as_whatif(request), timeout=timeout)
+        job = self.scheduler.submit(request, timeout=timeout)
         return self.scheduler.wait(job, timeout=timeout)
 
     def submit_whatif(self, request: WhatIfLike,
                       timeout: Optional[float] = None) -> Job:
         """Asynchronous what-if submit; poll/wait the returned job."""
         self._submissions.inc(mode="whatif_async")
-        return self.scheduler.submit(_as_whatif(request), timeout=timeout)
+        return self.scheduler.submit(_coerce(WhatIfRequest, request),
+                                     timeout=timeout)
 
     def has_base(self, key: str) -> bool:
         """Whether the pipeline holds the base for a what-if request."""
@@ -398,6 +353,16 @@ class ServiceClient:
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
         return self.cache.stats()
+
+    @property
+    def workers_alive(self) -> int:
+        """Workers that can take a job: the scheduler's live threads,
+        and in process mode no more than the pool's live slots (a
+        starting slot counts; a stopped pool has none)."""
+        threads = self.scheduler.workers_alive
+        if self._process_pool is None:
+            return threads
+        return min(threads, self._process_pool.live_slots)
 
     def worker_liveness(self) -> list:
         """Per-worker liveness entries (name, pid, alive, restarts,
@@ -708,7 +673,7 @@ class RemoteClient:
     def estimate(self, request: RequestLike,
                  timeout: Optional[float] = None) -> LeakageEstimate:
         """Synchronous ``POST /v1/estimate``."""
-        body = _as_request(request).to_dict()
+        body = _coerce(EstimateRequest, request).to_dict()
         if timeout is not None:
             body["timeout"] = timeout
         document = self._call("POST", "/v1/estimate", body)
@@ -717,7 +682,7 @@ class RemoteClient:
     def submit(self, request: RequestLike,
                timeout: Optional[float] = None) -> str:
         """Asynchronous ``POST /v1/estimate?async=1``; returns a job id."""
-        body = _as_request(request).to_dict()
+        body = _coerce(EstimateRequest, request).to_dict()
         body["async"] = True
         if timeout is not None:
             body["timeout"] = timeout
@@ -732,7 +697,7 @@ class RemoteClient:
         sweep is content-addressed, and identical in-flight sweeps
         coalesce server-side.
         """
-        body = _as_sweep(request).to_dict()
+        body = _coerce(SweepRequest, request).to_dict()
         if timeout is not None:
             body["timeout"] = timeout
         document = self._call("POST", "/v1/sweep", body)
@@ -747,7 +712,7 @@ class RemoteClient:
         base raises :class:`~repro.exceptions.UnknownBaseError` (HTTP
         404, ``kind="unknown_base"``) — run the full estimate first.
         """
-        body = _as_whatif(request).to_dict()
+        body = _coerce(WhatIfRequest, request).to_dict()
         if timeout is not None:
             body["timeout"] = timeout
         document = self._call("POST", "/v1/estimate", body)

@@ -20,8 +20,9 @@ dependencies) exposing:
 ``GET /v1/jobs/<id>``
     Job status snapshot; includes the serialized estimate once done.
 ``GET /v1/healthz``
-    Liveness: ``200`` while worker threads are alive, ``503``
-    otherwise. Stays ``200`` during drain — the process is alive.
+    Liveness: ``200`` while workers are alive (in process mode: while
+    the worker pool has a live or starting slot), ``503`` otherwise.
+    Stays ``200`` during drain — the process is alive.
 ``GET /v1/readyz``
     Readiness: ``200`` only when the server can take new work *now*;
     ``503`` while draining, while the queue is saturated
@@ -293,9 +294,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _healthz(self) -> None:
         client = self.server.client
-        workers = client.scheduler.workers_alive
         # The stats surfaces are best-effort: liveness must answer even
         # for minimal clients that expose only a scheduler.
+        workers = getattr(client, "workers_alive",
+                          client.scheduler.workers_alive)
         details = {}
         cache_stats = getattr(client, "cache_stats", None)
         if callable(cache_stats):
@@ -323,7 +325,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _readyz(self) -> None:
         client = self.server.client
-        workers = client.scheduler.workers_alive
+        workers = getattr(client, "workers_alive",
+                          client.scheduler.workers_alive)
         draining = self.server.draining
         saturated = client.scheduler.saturated
         ready = workers > 0 and not draining and not saturated

@@ -414,17 +414,29 @@ class EstimationPipeline:
                 render_stages(document))
         return document
 
-    def __call__(self, request: EstimateRequest,
-                 job: Optional[Job] = None) -> LeakageEstimate:
+    def run(self, request, job: Optional[Job] = None):
+        """Execute one service request: an estimate, a sweep or a
+        what-if. The one dispatch on request type — thread workers call
+        it in the serving process, process workers in theirs."""
+        if isinstance(request, SweepRequest):
+            return self.sweep(request, job)
+        if isinstance(request, WhatIfRequest):
+            return self.whatif(request, job)
+        return self(request, job)
+
+    def _traced(self, operation: str, body, request, job: Optional[Job],
+                **attrs) -> LeakageEstimate:
+        """``body(request, job)`` under a ``service.<operation>`` trace."""
         if tracing_active():
             # Nested under a caller's own tracer: record spans into it
             # and let the outer layer export once.
-            return self._run(request, job)
-        tracer = Tracer("service.request")
+            return body(request, job)
+        name = f"service.{operation}"
+        tracer = Tracer(name)
         with tracer:
-            with tracer.span("service.request", method=request.method):
-                estimate = self._run(request, job)
-        document = self._finish_trace(tracer, job, "request")
+            with tracer.span(name, **attrs):
+                estimate = body(request, job)
+        document = self._finish_trace(tracer, job, operation)
         if request.trace:
             # Attached *after* the cache write inside _run: cached
             # entries never carry traces (a revived hit would replay a
@@ -432,10 +444,20 @@ class EstimationPipeline:
             estimate = estimate.with_details(trace=document)
         return estimate
 
-    def _run(self, request: EstimateRequest,
-             job: Optional[Job] = None) -> LeakageEstimate:
+    def __call__(self, request: EstimateRequest,
+                 job: Optional[Job] = None) -> LeakageEstimate:
+        return self._traced("request", self._run, request, job,
+                            method=request.method)
+
+    def cached_estimate(self, request: EstimateRequest, key: str):
+        """The estimate-tier lookup every estimate starts with.
+
+        Records ``request`` as a what-if base under ``key`` (its
+        content hash), looks the key up under a ``cache_lookup`` span
+        and counts a hit as ``outcome="cached"``. Returns the cached
+        estimate, or :data:`~repro.service.cache.MISS`.
+        """
         start = time.perf_counter()
-        key = request.key()
         self._record_base(key, request)
         with span("cache_lookup", tier=TIER_ESTIMATE):
             cached = self.cache.get(TIER_ESTIMATE, key,
@@ -446,6 +468,14 @@ class EstimationPipeline:
             if self._request_seconds is not None:
                 self._request_seconds.observe(
                     time.perf_counter() - start, method=cached.method)
+        return cached
+
+    def _run(self, request: EstimateRequest,
+             job: Optional[Job] = None) -> LeakageEstimate:
+        start = time.perf_counter()
+        key = request.key()
+        cached = self.cached_estimate(request, key)
+        if cached is not MISS:
             return cached
 
         self._heartbeat(job)
@@ -617,28 +647,34 @@ class EstimationPipeline:
         with self._base_lock:
             return key in self._base_requests
 
-    def base_request(self, key: str) -> Optional[EstimateRequest]:
-        """The recorded request for ``key`` (None when never served).
+    def base_request(self, key: str) -> EstimateRequest:
+        """The recorded request for ``key``.
 
-        Process-mode serving ships this document to worker processes so
-        a worker forked after the base was recorded can still rebuild
-        the base snapshot locally. Like :meth:`_base_for`, this is a
-        what-if use and refreshes the base's LRU position.
+        Process-mode serving ships it to worker processes with the
+        what-if, so a worker forked after the base was recorded can
+        still rebuild the base snapshot locally. Like :meth:`_base_for`,
+        this is a what-if use: it refreshes the base's LRU position and
+        raises :class:`UnknownBaseError` for a hash never served.
         """
         with self._base_lock:
             return self._use_base(key)[0]
 
     def _use_base(self, key: str):
-        """``(request, snapshot)`` recorded for ``key`` (None where
-        absent), each marked most recently used. Caller holds
-        ``_base_lock``.
+        """``(request, snapshot)`` recorded for ``key`` (the snapshot
+        None until built), each marked most recently used. Caller holds
+        ``_base_lock``. Raises :class:`UnknownBaseError` when ``key``
+        was never served (or has aged out).
 
         A base under a steady what-if stream must not age out behind
         the fresh estimates served between its what-ifs.
         """
         request = self._base_requests.get(key)
-        if request is not None:
-            self._base_requests.move_to_end(key)
+        if request is None:
+            raise UnknownBaseError(
+                f"unknown base {key!r}; run the full estimate first — "
+                "the server records every estimate it serves under its "
+                "content hash")
+        self._base_requests.move_to_end(key)
         base = self._bases.get(key)
         if base is not None:
             self._bases.move_to_end(key)
@@ -663,11 +699,6 @@ class EstimationPipeline:
 
         with self._base_lock:
             request, base = self._use_base(key)
-        if request is None:
-            raise UnknownBaseError(
-                f"unknown base {key!r}; run the full estimate first — "
-                "the server records every estimate it serves under its "
-                "content hash")
         if base is not None:
             return base
         technology = request.technology.build()
@@ -734,17 +765,9 @@ class EstimationPipeline:
         tolerance-close, and the cache only ever holds the exact answer
         for a key.
         """
-        if tracing_active():
-            return self._whatif(request, job)
-        tracer = Tracer("service.whatif")
-        with tracer:
-            with tracer.span("service.whatif", base=request.base[:12],
-                             n_edits=len(request.edits)):
-                estimate = self._whatif(request, job)
-        document = self._finish_trace(tracer, job, "whatif")
-        if request.trace:
-            estimate = estimate.with_details(trace=document)
-        return estimate
+        return self._traced("whatif", self._whatif, request, job,
+                            base=request.base[:12],
+                            n_edits=len(request.edits))
 
     def _whatif(self, request: WhatIfRequest,
                 job: Optional[Job] = None) -> LeakageEstimate:
@@ -760,8 +783,6 @@ class EstimationPipeline:
             base = self._base_for(request.base, job)
             self._heartbeat(job)
             estimate = estimate_delta(base, edits)
-        except UnknownBaseError:
-            raise
         except DeltaError as exc:
             fallback_reason = f"{type(exc).__name__}: {exc}"
             fallback_label = ("incompatible"
@@ -769,12 +790,8 @@ class EstimationPipeline:
                               else "delta_error")
 
         if fallback_reason is not None:
-            with self._base_lock:
-                base_request = self._base_requests.get(request.base)
-            if base_request is None:
-                raise UnknownBaseError(
-                    f"unknown base {request.base!r}")
-            derived = self._edited_request(base_request, edits)
+            derived = self._edited_request(self.base_request(request.base),
+                                           edits)
             estimate = self._run(derived, job)
             estimate = estimate.with_details(delta={
                 "edits": len(edits),

@@ -7,7 +7,10 @@ the ready handshake — standard-cell library, :class:`EstimationPipeline`,
 and a :class:`~repro.service.cache.ResultCache` pointed at the *same*
 cache directory as the parent (the per-shard file locks are what make
 that safe). An init that raises is reported to the supervisor as a
-typed start failure, and the slot is restarted with backoff. Tasks arrive as small JSON-ish descriptors and results
+typed start failure, and the slot is restarted with backoff. Each task
+is a :class:`ProcessTask` carrying the request object itself (requests
+pickle with an unchanged ``key()``), and :func:`run_task` hands it to
+the same :meth:`EstimationPipeline.run` a thread worker calls. Results
 travel back as live, picklable :class:`LeakageEstimate` /
 :class:`SweepResponse` objects, so the parent's cache and waiters see
 exactly the objects a thread worker would have produced.
@@ -21,13 +24,13 @@ Design decisions that live here:
 - **Chaos is commanded, not drawn.** The ``worker.kill`` /
   ``worker.stall`` fault sites draw in the *parent*, from one
   fleet-wide seeded stream with one ``max_fires`` budget, and the
-  descriptor carries the command. Child-local injectors would reset
+  task carries the command. Child-local injectors would reset
   their fire budgets on every respawn and crash-loop forever. Commands
   execute only on delivery attempt 1 — after the supervisor requeues
   the task, the retry computes instead of re-dying.
 - **What-if bases ship with the request.** The parent records every
-  served estimate request in *its* pipeline base store and forwards the
-  base request document inside the what-if descriptor, so any worker —
+  served estimate request in *its* pipeline base store and ships a
+  what-if's recorded base request in its task, so any worker —
   including one forked after the base was recorded — can rebuild the
   base snapshot locally.
 
@@ -42,7 +45,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
 from repro.parallel import process_worker_context
 from repro.service.cache import ResultCache
@@ -56,8 +59,6 @@ from repro.service.faults import (
 )
 from repro.service.jobs import DeadlineExceeded, EstimateRequest
 from repro.service.pipeline import EstimationPipeline
-from repro.service.sweep import SweepRequest
-from repro.service.whatif import WhatIfRequest
 
 #: Fault sites a worker process injects locally (everything else —
 #: worker.kill, worker.stall, replica.kill, http.disconnect — is drawn
@@ -86,6 +87,23 @@ class ProcessWorkerConfig:
     fault_rules: Dict[str, FaultRule] = field(default_factory=dict)
     fault_seed: int = 0
     fault_hang_seconds: float = 0.5
+
+
+class ProcessTask(NamedTuple):
+    """One job shipped to a worker process.
+
+    ``request`` is an :class:`EstimateRequest`, a sweep or a what-if;
+    ``base`` is a what-if's recorded base request. ``remaining`` is the
+    parent job's deadline as seconds left at dispatch (``None`` for
+    none), and ``chaos`` a commanded ``"kill"`` or ``"stall"``.
+    """
+
+    request: Any
+    base: Optional[EstimateRequest] = None
+    job_id: str = "proc-task"
+    remaining: Optional[float] = None
+    chaos: Optional[str] = None
+    stall_seconds: float = 2.0
 
 
 class _TaskDeadline:
@@ -118,15 +136,11 @@ class _TaskDeadline:
         return self.deadline - time.monotonic()
 
 
-class _WorkerState:
+class _WorkerState(NamedTuple):
     """Per-process compute stack, built once by :func:`worker_init`."""
 
-    __slots__ = ("pipeline", "faults")
-
-    def __init__(self, pipeline: EstimationPipeline,
-                 faults: Optional[FaultInjector]) -> None:
-        self.pipeline = pipeline
-        self.faults = faults
+    pipeline: EstimationPipeline
+    faults: Optional[FaultInjector]
 
 
 def _child_faults(config: ProcessWorkerConfig) -> Optional[FaultInjector]:
@@ -158,31 +172,17 @@ def worker_init(config: ProcessWorkerConfig) -> _WorkerState:
     return _WorkerState(pipeline, faults)
 
 
-def run_task(state: _WorkerState, descriptor: Dict[str, Any]) -> Any:
-    """Pool ``work_fn``: execute one estimate/sweep/what-if descriptor."""
+def run_task(state: _WorkerState, task: ProcessTask) -> Any:
+    """Pool ``work_fn``: run one task's request through the pipeline."""
     context = process_worker_context()
     attempt = context.attempt if context is not None else 1
-    chaos = descriptor.get("chaos")
-    if chaos is not None and attempt <= 1:
-        if chaos == "kill":
+    if task.chaos is not None and attempt <= 1:
+        if task.chaos == "kill":
             os._exit(CHAOS_KILL_EXIT_CODE)
-        if chaos == "stall" and context is not None:
-            context.stall(float(descriptor.get("stall_seconds", 2.0)))
-    job = _TaskDeadline(descriptor.get("id", "proc-task"),
-                        descriptor.get("remaining"))
-    kind = descriptor["kind"]
-    if kind == "estimate":
-        request = EstimateRequest.from_dict(descriptor["request"])
-        return state.pipeline(request, job)
-    if kind == "sweep":
-        request = SweepRequest.from_dict(descriptor["request"])
-        return state.pipeline.sweep(request, job)
-    if kind == "whatif":
-        request = WhatIfRequest.from_dict(descriptor["request"])
-        base_document = descriptor.get("base_request")
-        if base_document is not None \
-                and not state.pipeline.has_base(request.base):
-            base_request = EstimateRequest.from_dict(base_document)
-            state.pipeline._record_base(base_request.key(), base_request)
-        return state.pipeline.whatif(request, job)
-    raise ValueError(f"unknown task kind {kind!r}")
+        if task.chaos == "stall" and context is not None:
+            context.stall(task.stall_seconds)
+    if task.base is not None:
+        # A what-if names its base by that base's content hash.
+        state.pipeline._record_base(task.request.base, task.base)
+    return state.pipeline.run(task.request,
+                              _TaskDeadline(task.job_id, task.remaining))

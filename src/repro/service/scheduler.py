@@ -1,8 +1,8 @@
-"""Worker-pool scheduler: priority queue, coalescing, backpressure,
+"""Worker scheduler: priority queue, coalescing, backpressure,
 supervision.
 
-Jobs are drained by a :class:`repro.parallel.ThreadWorkerPool` — threads
-rather than processes, because the estimator kernels are numpy-bound
+Jobs are drained by the scheduler's own daemon threads — threads rather
+than processes, because the estimator kernels are numpy-bound
 (GIL-releasing) and each job can still fan its inner block loops out
 over the shared-memory process pool via the request's ``n_jobs``.
 
@@ -24,27 +24,32 @@ Serving behaviors that live here:
   :meth:`wait(timeout=...)` is independent: it bounds the caller's
   patience without killing the job (coalesced waiters may still want
   the result).
-* **worker supervision** — a crashed worker (its loop died on an
-  exception, e.g. an injected ``worker.crash`` fault) requeues the job
-  it held (up to ``max_requeues`` times) and is replaced by a fresh
-  thread; a *hung* worker — one still computing past its job's deadline
-  plus ``hang_grace`` — is abandoned: the job fails with
-  ``DeadlineExceeded`` so no waiter blocks forever, a replacement
-  worker restores capacity, and the stuck thread's eventual late result
-  is dropped by the job's idempotent ``finish``.
+* **worker supervision** — a crash that escapes a worker's drain loop
+  (e.g. an injected ``worker.crash`` fault) is caught at the top of
+  that thread: the job it held is requeued (up to ``max_requeues``
+  times) and the thread re-enters its loop. A *hung* worker — one
+  still computing past its job's deadline plus ``hang_grace`` — is
+  abandoned by the supervisor loop: the job fails with
+  ``DeadlineExceeded`` so no waiter blocks forever, a fresh thread
+  restores capacity, and the stuck thread's eventual late result is
+  dropped by the job's idempotent ``finish``. Each recovery and each
+  replacement spends one of :data:`MAX_WORKER_RESTARTS`; crashes,
+  abandonments and budget exhaustion are supervisor events
+  (:class:`~repro.parallel.EventRecord`).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import os
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.api import LeakageEstimate
-from repro.parallel import ThreadWorkerPool
+from repro.parallel import EventRecord, resolve_n_jobs
 from repro.service.faults import SITE_WORKER_CRASH, FaultInjector
 from repro.service.jobs import (
     DeadlineExceeded,
@@ -57,15 +62,23 @@ from repro.service.jobs import (
     QueueFullError,
 )
 
+#: Worker-thread name prefix, also the supervisor name on its events.
+WORKER_NAME = "repro-estimator"
+
+#: Lifetime cap on worker restarts (crash recoveries plus replacements
+#: of abandoned threads), a circuit against tight crash loops. Once
+#: spent, a crashing worker leaves the pool and health checks show it.
+MAX_WORKER_RESTARTS = 100
+
 
 class EstimationScheduler:
-    """Bounded priority scheduler over a supervised thread worker pool.
+    """Bounded priority scheduler over supervised worker threads.
 
     Parameters
     ----------
     compute:
-        ``compute(request, job) -> LeakageEstimate`` — typically an
-        :class:`~repro.service.pipeline.EstimationPipeline`. Must be
+        ``compute(request, job) -> LeakageEstimate`` — typically
+        :meth:`~repro.service.pipeline.EstimationPipeline.run`. Must be
         thread-safe.
     workers:
         Worker-thread count (``-1`` for one per CPU).
@@ -119,10 +132,14 @@ class EstimationScheduler:
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._job_history = int(job_history)
         self._closed = False
-        #: thread ident -> the job that worker is currently computing.
-        self._active: Dict[int, Job] = {}
-        #: idents the supervisor gave up on; their loops exit on return.
-        self._abandoned: Set[int] = set()
+        #: worker thread -> the job it is currently computing.
+        self._active: Dict[threading.Thread, Job] = {}
+        self._stop = threading.Event()
+        #: Worker threads the scheduler owns; an abandoned thread is
+        #: dropped, and its loop exits once its compute call returns.
+        self._threads: List[threading.Thread] = []
+        self._restarts = 0
+        self._events = EventRecord(WORKER_NAME)
 
         self._queue_depth = None
         self._jobs_total = None
@@ -130,6 +147,7 @@ class EstimationScheduler:
         self._requeued_total = None
         self._restarts_total = None
         self._hung_total = None
+        self._workers_gauge = None
         if metrics is not None:
             self._queue_depth = metrics.gauge(
                 "repro_queue_depth", "Jobs queued, not yet running.")
@@ -146,18 +164,14 @@ class EstimationScheduler:
                 "Jobs requeued after their worker crashed.")
             self._restarts_total = metrics.counter(
                 "repro_worker_restarts_total",
-                "Replacement worker threads started by supervision.")
+                "Worker restarts spent by supervision.")
             self._hung_total = metrics.counter(
                 "repro_hung_workers_total",
                 "Workers abandoned for computing past a job deadline.")
-        else:
-            self._workers_gauge = None
 
-        self._pool = ThreadWorkerPool(self._worker_loop, n_workers=workers,
-                                      name="repro-estimator", restart=True,
-                                      on_crash=self._on_worker_crash)
+        for index in range(resolve_n_jobs(workers)):
+            self._start_worker(str(index))
         self._update_worker_gauge()
-        self._supervision_stop = threading.Event()
         self._supervise_interval = float(supervise_interval)
         self._supervisor = threading.Thread(
             target=self._supervise_loop, name="repro-supervisor", daemon=True)
@@ -252,21 +266,30 @@ class EstimationScheduler:
 
     @property
     def workers_alive(self) -> int:
-        return self._pool.alive_count
+        with self._lock:
+            return sum(thread.is_alive() for thread in self._threads)
 
     @property
     def worker_restarts(self) -> int:
-        return self._pool.restarts
-
-    def worker_liveness(self):
-        """Per-worker-thread liveness entries (see
-        :meth:`repro.parallel.ThreadWorkerPool.liveness`)."""
-        return self._pool.liveness()
+        """Restarts spent from :data:`MAX_WORKER_RESTARTS`."""
+        return self._restarts
 
     @property
-    def inflight_count(self) -> int:
+    def events(self) -> List[Dict[str, Any]]:
+        """Supervisor events, oldest first (an :class:`EventRecord`)."""
+        return self._events.events
+
+    def worker_liveness(self) -> List[Dict[str, Any]]:
+        """Per-thread entries shaped like
+        :meth:`repro.parallel.ProcessWorkerPool.liveness` (no heartbeat
+        or per-slot restart count)."""
         with self._lock:
-            return len(self._inflight)
+            threads = list(self._threads)
+        return [{"worker": thread.name, "pid": os.getpid(),
+                 "alive": thread.is_alive(),
+                 "state": "up" if thread.is_alive() else "down",
+                 "restarts": None, "heartbeat_age_s": None}
+                for thread in threads]
 
     @property
     def saturated(self) -> bool:
@@ -297,10 +320,12 @@ class EstimationScheduler:
                 self._retire(job, JobState.CANCELLED,
                              error="scheduler shut down before the job ran",
                              kind="shutdown")
-        self._supervision_stop.set()
-        self._pool.stop(join=wait)
+        self._stop.set()
         if wait:
-            self._supervisor.join(timeout=5.0)
+            with self._lock:
+                threads = list(self._threads)
+            for thread in threads + [self._supervisor]:
+                thread.join(timeout=5.0)
         self._update_worker_gauge()
 
     def __enter__(self) -> "EstimationScheduler":
@@ -325,11 +350,11 @@ class EstimationScheduler:
 
     def _update_worker_gauge(self) -> None:
         if self._workers_gauge is not None:
-            self._workers_gauge.set(self._pool.alive_count)
+            self._workers_gauge.set(self.workers_alive)
 
-    def _next_job(self, stop: threading.Event) -> Optional[Job]:
+    def _next_job(self) -> Optional[Job]:
         with self._work_available:
-            while not stop.is_set():
+            while not self._stop.is_set():
                 if self._heap:
                     job = heapq.heappop(self._heap)[2]
                     self._set_queue_depth()
@@ -359,9 +384,7 @@ class EstimationScheduler:
                       f"(last: {cause}); giving up")
             return
         with self._work_available:
-            if self._closed:
-                pass  # fall through to retire below
-            else:
+            if not self._closed:
                 # Requeues bypass the queue limit: the job already held
                 # a slot, and dropping it would turn one crash into a
                 # lost request.
@@ -375,49 +398,97 @@ class EstimationScheduler:
         self._retire(job, JobState.CANCELLED, kind="shutdown",
                      error="scheduler shut down while the job was requeued")
 
-    def _on_worker_crash(self, exc: BaseException) -> None:
-        """Pool crash callback — runs in the dying worker thread."""
-        ident = threading.get_ident()
+    # -- supervision ------------------------------------------------------
+
+    def _start_worker(self, slot: str) -> None:
+        thread = threading.Thread(target=self._run, args=(slot,),
+                                  name=f"{WORKER_NAME}-{slot}", daemon=True)
         with self._lock:
-            job = self._active.pop(ident, None)
-            self._abandoned.discard(ident)
+            if self._stop.is_set():
+                return
+            self._threads.append(thread)
+            # Started under the lock: close() snapshots the thread list
+            # under it, and joining a never-started thread raises.
+            thread.start()
+
+    def _spend_restart(self, slot: str) -> int:
+        """Take one restart from the budget and return its ordinal; 0
+        when stopping or spent (the caller's worker then stays down)."""
+        with self._lock:
+            if self._stop.is_set():
+                return 0
+            spent = self._restarts >= MAX_WORKER_RESTARTS
+            if not spent:
+                self._restarts += 1
+                ordinal = self._restarts
+        if spent:
+            self._events.record(slot, 0, os.getpid(), "budget_exhausted",
+                                f"restart budget ({MAX_WORKER_RESTARTS}) "
+                                f"exhausted; worker {slot} stays down")
+            return 0
         if self._restarts_total is not None:
             self._restarts_total.inc()
-        if job is not None and not job.finished:
-            self._requeue_or_fail(job, f"{type(exc).__name__}: {exc}")
+        return ordinal
+
+    def _run(self, slot: str) -> None:
+        """Worker thread body: drain jobs until stopped or abandoned.
+
+        A crash escaping the drain loop lands here, in the dying
+        thread: the job it held is requeued and, budget permitting, the
+        same thread goes back into the loop.
+        """
+        while True:
+            try:
+                self._drain()
+                return
+            except BaseException as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+                thread = threading.current_thread()
+                with self._lock:
+                    job = self._active.pop(thread, None)
+                    abandoned = thread not in self._threads
+                self._events.record(slot, 0, os.getpid(), "exit", reason)
+                if job is not None and not job.finished:
+                    self._requeue_or_fail(job, reason)
+                if not isinstance(exc, Exception):
+                    raise  # an exit or interrupt ends the thread
+                if abandoned or not self._spend_restart(slot):
+                    return
 
     def _supervise_loop(self) -> None:
-        """Periodic sweep: restart dead workers, abandon hung ones."""
-        while not self._supervision_stop.wait(self._supervise_interval):
-            restarted = self._pool.ensure_workers()
-            if restarted and self._restarts_total is not None:
-                self._restarts_total.inc(restarted)
+        """Periodic sweep: abandon and replace hung workers."""
+        while not self._stop.wait(self._supervise_interval):
             now = time.monotonic()
             with self._lock:
-                hung = [(ident, job) for ident, job in self._active.items()
+                hung = [(thread, job) for thread, job in self._active.items()
                         if job.deadline is not None
                         and now > job.deadline + self.hang_grace
                         and not job.finished]
-            for ident, job in hung:
+            for thread, job in hung:
                 with self._lock:
-                    if self._active.get(ident) is not job:
+                    if self._active.get(thread) is not job:
                         continue  # the worker just finished it
-                    del self._active[ident]
-                    self._abandoned.add(ident)
+                    del self._active[thread]
+                    self._threads.remove(thread)
+                slot = thread.name[len(WORKER_NAME) + 1:]
+                self._events.record(
+                    slot, 0, os.getpid(), "abandoned",
+                    f"job {job.id} still running "
+                    f"{now - job.deadline:.3f}s past its deadline")
+                if self._hung_total is not None:
+                    self._hung_total.inc()
+                restart = self._spend_restart(slot)
+                if restart:
+                    self._start_worker(f"r{restart}")
                 self._retire(
                     job, JobState.FAILED, kind="deadline",
                     error=f"job {job.id} exceeded its deadline; worker "
                           "unresponsive, abandoned and replaced")
-                if self._hung_total is not None:
-                    self._hung_total.inc()
-                replacement = self._pool.replace(ident)
-                if replacement is not None and self._restarts_total is not None:
-                    self._restarts_total.inc()
             self._update_worker_gauge()
 
-    def _worker_loop(self, stop: threading.Event) -> None:
+    def _drain(self) -> None:
         while True:
-            job = self._next_job(stop)
+            job = self._next_job()
             if job is None:
                 return
             if job.cancel_requested:
@@ -430,9 +501,9 @@ class EstimationScheduler:
                                    "while queued")
                 continue
             job.mark_running()
-            ident = threading.get_ident()
+            thread = threading.current_thread()
             with self._lock:
-                self._active[ident] = job
+                self._active[thread] = job
             if self._faults is not None:
                 # Outside the isolation try-block below: an injected
                 # crash must kill this worker loop the way a real
@@ -444,10 +515,7 @@ class EstimationScheduler:
             except JobCancelledError as exc:
                 self._retire(job, JobState.CANCELLED, error=str(exc),
                              kind="cancelled")
-            except DeadlineExceeded as exc:
-                self._retire(job, JobState.FAILED, error=str(exc),
-                             kind="deadline")
-            except JobTimeoutError as exc:
+            except JobTimeoutError as exc:  # DeadlineExceeded included
                 self._retire(job, JobState.FAILED, error=str(exc),
                              kind="deadline")
             except Exception as exc:  # noqa: BLE001 - job isolation boundary
@@ -457,8 +525,7 @@ class EstimationScheduler:
                 self._retire(job, JobState.DONE, result=result)
             finally:
                 with self._lock:
-                    self._active.pop(ident, None)
-                    abandoned = ident in self._abandoned
-                    self._abandoned.discard(ident)
+                    self._active.pop(thread, None)
+                    abandoned = thread not in self._threads
             if abandoned:
                 return  # a replacement took over; exit quietly

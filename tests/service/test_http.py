@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import signal
 import threading
 import time
 import urllib.error
@@ -256,6 +258,40 @@ class TestReadiness:
         status, document = results["estimate"]
         assert status == 200
         assert document["estimate"]["mean"] > 0
+
+    def test_retired_process_pool_reports_unhealthy_and_unready(self):
+        """With no restart budget, killing the only worker process
+        retires the pool; health checks must stop answering 200."""
+        client = ServiceClient(workers=1, worker_mode="process",
+                               process_pool={"max_restarts": 0,
+                                             "heartbeat_interval": 0.02})
+        http_server = create_server(client, port=0)
+        thread = threading.Thread(target=http_server.serve_forever,
+                                  daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{http_server.server_address[1]}"
+        try:
+            # A starting slot counts as a live worker.
+            status, _ = get(base, "/v1/readyz")
+            assert status == 200
+            deadline = time.monotonic() + 60.0
+            while client.worker_liveness()[0]["state"] != "up":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            os.kill(client.worker_liveness()[0]["pid"], signal.SIGKILL)
+            while not client._process_pool.stopped:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            for path in ("/v1/healthz", "/v1/readyz"):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    get(base, path)
+                assert excinfo.value.code == 503
+                assert json.loads(excinfo.value.read())["workers"] == 0
+        finally:
+            http_server.shutdown()
+            http_server.server_close()
+            thread.join(timeout=5.0)
+            client.close()
 
 
 @pytest.fixture()

@@ -1,10 +1,10 @@
 """The process-worker entry points, driven in this process.
 
 ``worker_init`` builds a worker's compute stack and ``run_task``
-executes one task descriptor; calling them directly (no pool, no fork)
-checks the child side of ``worker_mode="process"`` on its own: every
-descriptor kind, the shipped what-if base, the re-anchored deadline,
-and the child-side fault sites.
+executes one :class:`ProcessTask`; calling them directly (no pool, no
+fork) checks the child side of ``worker_mode="process"`` on its own:
+every request type, the shipped what-if base, the re-anchored
+deadline, and the child-side fault sites.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.service.faults import (
 from repro.service.jobs import DeadlineExceeded, EstimateRequest
 from repro.service.pipeline import EstimationPipeline
 from repro.service.procworker import (
+    ProcessTask,
     ProcessWorkerConfig,
     _TaskDeadline,
     run_task,
@@ -51,8 +52,7 @@ def reference():
 
 def test_estimate_matches_a_thread_pipeline(state, reference):
     point = request()
-    estimate = run_task(state, {"kind": "estimate",
-                                "request": point.to_dict()})
+    estimate = run_task(state, ProcessTask(point))
     expected = reference(point)
     assert (estimate.mean, estimate.std) == (expected.mean, expected.std)
     assert estimate.details == expected.details
@@ -63,8 +63,8 @@ def test_sweep_runs_on_the_batched_engine(state, reference):
         base=request(),
         axes=(SweepAxisSpec("n_cells", (400, 700)),
               SweepAxisSpec("signal_probability", (0.3, 0.7))))
-    response = run_task(state, {"kind": "sweep", "request": sweep.to_dict(),
-                                "id": "sweep-task", "remaining": 60.0})
+    response = run_task(state, ProcessTask(sweep, job_id="sweep-task",
+                                           remaining=60.0))
     assert isinstance(response, SweepResponse)
     assert response.shape == (2, 2)
     assert response.stats["geometries"] == 2
@@ -83,9 +83,7 @@ def test_whatif_rebuilds_the_shipped_base(state):
     base = request(n_cells=1200, width_mm=0.7, height_mm=0.7)
     assert not state.pipeline.has_base(base.key())
     whatif = WhatIfRequest(base=base.key(), edits=(SWAP,))
-    estimate = run_task(state, {"kind": "whatif",
-                                "request": whatif.to_dict(),
-                                "base_request": base.to_dict()})
+    estimate = run_task(state, ProcessTask(whatif, base=base))
     assert state.pipeline.has_base(base.key())
     assert estimate.mean > 0
 
@@ -93,19 +91,13 @@ def test_whatif_rebuilds_the_shipped_base(state):
 def test_whatif_without_a_shipped_base_is_unknown(state):
     whatif = WhatIfRequest(base="ab" * 32, edits=(SWAP,))
     with pytest.raises(UnknownBaseError):
-        run_task(state, {"kind": "whatif", "request": whatif.to_dict()})
-
-
-def test_unknown_kind_is_rejected(state):
-    with pytest.raises(ValueError, match="unknown task kind"):
-        run_task(state, {"kind": "bogus", "request": {}})
+        run_task(state, ProcessTask(whatif))
 
 
 def test_expired_deadline_stops_the_task(state):
     with pytest.raises(DeadlineExceeded, match="process worker"):
-        run_task(state, {"kind": "estimate",
-                         "request": request(n_cells=1500).to_dict(),
-                         "id": "late-task", "remaining": -1.0})
+        run_task(state, ProcessTask(request(n_cells=1500),
+                                    job_id="late-task", remaining=-1.0))
 
 
 def test_task_deadline_re_anchors_the_remaining_time():
@@ -120,8 +112,7 @@ def test_task_deadline_re_anchors_the_remaining_time():
 def test_stall_command_outside_a_pool_computes(state):
     """Chaos commands need a pool context to act on; without one the
     task computes normally."""
-    estimate = run_task(state, {"kind": "estimate", "chaos": "stall",
-                                "request": request().to_dict()})
+    estimate = run_task(state, ProcessTask(request(), chaos="stall"))
     assert estimate.mean > 0
 
 
@@ -133,6 +124,6 @@ def test_child_builds_only_its_own_fault_sites():
     worker = worker_init(config)
     assert worker.faults.enabled(SITE_COMPUTE_HANG)
     assert not worker.faults.enabled(SITE_WORKER_KILL)
-    run_task(worker, {"kind": "estimate", "request": request().to_dict()})
+    run_task(worker, ProcessTask(request()))
     assert worker.faults.fires(SITE_COMPUTE_HANG) == 1
     assert worker_init(ProcessWorkerConfig()).faults is None

@@ -4,7 +4,9 @@ Each target plays one way a start can go: ready, a reported init error,
 death before the handshake (pipe EOF), exit while a grandchild still
 holds the pipe open, or silence past ``init_timeout``. The tests cover
 those outcomes, the backoff sequence and its reset, the shared restart
-budget, per-slot liveness and the bounded event record.
+budget, per-slot liveness and the bounded event record. The last tests
+drive the estimation scheduler's own thread supervision: crash storms
+and abandoned workers land in the same kind of event record.
 """
 
 from __future__ import annotations
@@ -17,12 +19,15 @@ import time
 
 import pytest
 
-from repro.parallel import (
-    EVENT_CAPACITY,
-    StartOutcome,
-    Supervisor,
-    ThreadWorkerPool,
+from repro.parallel import EVENT_CAPACITY, StartOutcome, Supervisor
+from repro.service.faults import SITE_WORKER_CRASH, FaultInjector, FaultRule
+from repro.service.jobs import (
+    DeadlineExceeded,
+    EstimateRequest,
+    JobFailedError,
 )
+from repro.service.metrics import MetricsRegistry
+from repro.service.scheduler import MAX_WORKER_RESTARTS, EstimationScheduler
 
 
 def _ready(conn, index, generation):
@@ -180,25 +185,79 @@ def test_events_are_bounded_and_logged_as_json(reap, caplog):
     assert logged[0]["pid"] == supervisor.slots[0].pid
 
 
-def test_thread_pool_keeps_only_the_last_failures():
-    crashes = []
-    done = threading.Event()
+def _crash_storm(fires, n_jobs=40):
+    """Two scheduler threads and ``fires`` injected ``worker.crash``
+    faults spread over ``n_jobs`` jobs (each job survives two requeues,
+    so the storm spends every fire); returns once every job ended."""
+    registry = MetricsRegistry()
+    scheduler = EstimationScheduler(
+        lambda request, job: "done", workers=2, metrics=registry,
+        faults=FaultInjector({SITE_WORKER_CRASH: FaultRule(1.0, fires)}))
+    jobs = [scheduler.submit(EstimateRequest(n_cells=100 + index,
+                                             width_mm=1.0, height_mm=1.0))
+            for index in range(n_jobs)]
+    for job in jobs:
+        try:
+            assert scheduler.wait(job, timeout=30.0) == "done"
+        except JobFailedError:
+            assert job.error_kind == "crash"
+    return scheduler, registry
 
-    def crash(stop):
-        crashes.append(1)
-        if len(crashes) == 100:
-            done.set()
-        raise RuntimeError(f"crash {len(crashes)}")
 
-    pool = ThreadWorkerPool(crash, n_workers=1, name="crashy",
-                            restart=True, max_restarts=99)
+def test_scheduler_crash_storm_keeps_only_the_last_events(caplog):
+    caplog.set_level(logging.WARNING, logger="repro.supervisor")
+    scheduler, _ = _crash_storm(fires=80)
     try:
-        assert done.wait(30.0)
-        deadline = time.monotonic() + 30.0
-        while pool.alive_count and time.monotonic() < deadline:
-            time.sleep(0.01)
-        failures = pool.failures
-        assert len(failures) == EVENT_CAPACITY
-        assert failures[-1] == "crashy-r99 gen0: RuntimeError: crash 100"
+        events = scheduler.events
+        assert len(events) == EVENT_CAPACITY
+        assert {event["event"] for event in events} == {"exit"}
+        assert events[-1]["supervisor"] == "repro-estimator"
+        assert "InjectedFault" in events[-1]["reason"]
+        assert scheduler.worker_restarts == 80
+        assert scheduler.workers_alive == 2
+        logged = [json.loads(record.getMessage())
+                  for record in caplog.records
+                  if record.name == "repro.supervisor"]
+        assert len(logged) == 80
     finally:
-        pool.stop()
+        scheduler.close()
+
+
+def test_restart_metric_counts_only_restarts_that_happen():
+    scheduler, registry = _crash_storm(fires=MAX_WORKER_RESTARTS + 1)
+    try:
+        restarts = registry.get("repro_worker_restarts_total").value()
+        assert scheduler.worker_restarts == MAX_WORKER_RESTARTS
+        assert restarts == scheduler.worker_restarts
+        exhausted = [event for event in scheduler.events
+                     if event["event"] == "budget_exhausted"]
+        assert len(exhausted) == 1
+        assert scheduler.workers_alive == 1  # the other thread stays up
+    finally:
+        scheduler.close()
+
+
+def test_abandoned_worker_is_an_event_naming_the_job():
+    release = threading.Event()
+
+    def compute(request, job):
+        assert release.wait(30.0)
+        return "late"
+
+    scheduler = EstimationScheduler(compute, workers=1, hang_grace=0.05,
+                                    supervise_interval=0.02)
+    try:
+        hung = scheduler.submit(EstimateRequest(
+            n_cells=1000, width_mm=1.0, height_mm=1.0), timeout=0.1)
+        with pytest.raises(DeadlineExceeded):
+            scheduler.wait(hung, timeout=10.0)
+        [event] = scheduler.events
+        assert event["event"] == "abandoned"
+        assert event["slot"] == "0"
+        assert hung.id in event["reason"]
+        assert scheduler.worker_restarts == 1
+        assert [entry["worker"] for entry in scheduler.worker_liveness()] \
+            == ["repro-estimator-r1"]
+    finally:
+        release.set()
+        scheduler.close()
