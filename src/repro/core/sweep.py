@@ -78,6 +78,7 @@ from repro.process.correlation import (
     SpatialCorrelation,
     SphericalCorrelation,
     TotalCorrelation,
+    distance_xy,
 )
 
 #: Config keys an axis may override per point. The ``thermal_*`` keys
@@ -414,9 +415,7 @@ def _batched_lag_rho(geometry: LagGeometry,
 
     if kinds <= {ExponentialCorrelation, GaussianCorrelation}:
         # Shared distance grid (what evaluate_xy computes internally).
-        distance = np.hypot(
-            np.asarray(geometry.x[:, None], dtype=float),
-            np.asarray(geometry.y[None, :], dtype=float))
+        distance = distance_xy(geometry.x[:, None], geometry.y[None, :])
         stats["rho_kernel_evaluations"] = \
             stats.get("rho_kernel_evaluations", 0) + len(items)
         for key, corr in items:

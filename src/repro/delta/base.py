@@ -49,6 +49,8 @@ from repro.exceptions import DeltaIncompatibleError, EstimationError
 from repro.obs import span
 
 #: Schema version of the exported base artifact (2: folded lag ``rho``).
+#: A change of kernel rounding alone (``rho`` moving by an ulp) keeps
+#: the layout and the version.
 BASE_SCHEMA_VERSION = 2
 
 

@@ -14,8 +14,8 @@ incremental updates run:
 * **ledger update** — a floorplan change rebuilds only the per-lag
   occupancy ledger (``O(n_lags)``); the per-lag correlation values are
   cropped from the base when the site pitch is unchanged (bit-identical
-  — the kernel is a pure function of the lag coordinates) and
-  re-kerneled otherwise. The RG moments are *never* rebuilt for a
+  to re-kerneling for a base built by the same revision — the kernel is
+  a pure function of the lag coordinates) and re-kerneled otherwise. The RG moments are *never* rebuilt for a
   geometry-only edit.
 
 Closeness contract
@@ -153,10 +153,13 @@ def _geometry_ledger(base: BaseEstimate, chip: FullChipModel,
 
     Returns ``(geometry, rho, w, s_rho)``. Reuses the base's kernel
     values when the site pitch is unchanged and the new lag range fits
-    inside the old one (a corner crop of the folded quadrant —
-    bit-identical, the kernel is a pure function of lag coordinates);
-    otherwise re-evaluates the kernel, which needs the base's live
-    correlation reference.
+    inside the old one (a corner crop of the folded quadrant). For a
+    base built by the same revision the crop is bit-identical to
+    re-kerneling, the kernel being a pure function of lag coordinates;
+    a stored base from a revision with another distance formula (e.g.
+    ``np.hypot``) differs by up to 1 ulp of distance, well inside the
+    ``DELTA_*_RTOL`` bounds. Otherwise re-evaluates the kernel, which
+    needs the base's live correlation reference.
     """
     geometry = LagGeometry(chip.rows, chip.cols, chip.pitch_x, chip.pitch_y)
     base_chip = base.chip

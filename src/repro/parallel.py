@@ -343,7 +343,8 @@ class Supervisor:
     ``restart_backoff * 2**(k-1)`` seconds (capped at ``max_backoff``),
     ``k`` counting the slot's failures since the owner last called
     :meth:`healthy`. The first start of each slot is free; every later
-    one spends one unit of a restart budget shared by all slots.
+    one spends one unit of a restart budget shared by all slots and
+    calls ``on_restart()`` (e.g. a metrics counter's ``inc``).
     """
 
     def __init__(self, n_slots: int, target: Callable[..., None],
@@ -351,7 +352,8 @@ class Supervisor:
                  name: str, init_timeout: float = 120.0,
                  restart_backoff: float = 0.05, max_backoff: float = 2.0,
                  max_restarts: int = 100, poll_interval: float = 0.05,
-                 daemon: bool = True, mp_context=None) -> None:
+                 daemon: bool = True, mp_context=None,
+                 on_restart: Optional[Callable[[], Any]] = None) -> None:
         self.name = name
         self.init_timeout = float(init_timeout)
         self.restart_backoff = float(restart_backoff)
@@ -365,6 +367,7 @@ class Supervisor:
         self.slots = [_Slot(index) for index in range(n_slots)]
         self._target = target
         self._child_args = child_args
+        self._on_restart = on_restart
         self._ctx = mp_context or _preferred_mp_context()
         self._lock = threading.Lock()
 
@@ -402,8 +405,11 @@ class Supervisor:
                 return StartOutcome.STOPPED, "supervisor stopped"
             slot.retired = (slot.generation > 0
                             and self.restarts >= self.max_restarts)
-            if slot.generation > 0 and not slot.retired:
+            restart = slot.generation > 0 and not slot.retired
+            if restart:
                 self.restarts += 1
+        if restart and self._on_restart is not None:
+            self._on_restart()
         if slot.retired:
             self.kill(index)
             reason = (f"restart budget ({self.max_restarts}) exhausted; "
@@ -709,7 +715,8 @@ class ProcessWorkerPool:
                  poison_threshold: int = 3,
                  init_timeout: float = 120.0,
                  timeout_error: Optional[Callable[[str], BaseException]] = None,
-                 mp_context=None) -> None:
+                 mp_context=None,
+                 on_restart: Optional[Callable[[], Any]] = None) -> None:
         self._work_fn = work_fn
         self._init_fn = init_fn
         self._name = name
@@ -725,7 +732,8 @@ class ProcessWorkerPool:
             n_workers, _process_worker_main, self._child_args, name=name,
             init_timeout=init_timeout, restart_backoff=restart_backoff,
             max_backoff=max_backoff, max_restarts=max_restarts,
-            poll_interval=self._heartbeat_interval, mp_context=self._ctx)
+            poll_interval=self._heartbeat_interval, mp_context=self._ctx,
+            on_restart=on_restart)
         self._slots = self._supervisor.slots
         self._heartbeats: List[Any] = [None] * n_workers
         self._tasks: "queue.Queue[PoolFuture]" = queue.Queue()

@@ -166,7 +166,6 @@ class ServiceClient:
         self._worker_restarts_total = self.metrics.counter(
             "repro_worker_restarts_total",
             "Worker restarts spent by supervision.")
-        self._pool_restarts_seen = 0
         #: Cache-directory verification report from startup (``None``
         #: without a cache directory).
         self.cache_rebuild: Optional[Dict[str, int]] = None
@@ -205,6 +204,7 @@ class ServiceClient:
                 init_fn=functools.partial(worker_init, config),
                 name="repro-procworker",
                 timeout_error=DeadlineExceeded,
+                on_restart=self._worker_restarts_total.inc,
                 **pool_options)
             compute = self._compute_in_worker
         self.scheduler = EstimationScheduler(
@@ -366,19 +366,15 @@ class ServiceClient:
 
     def worker_liveness(self) -> list:
         """Per-worker liveness entries (name, pid, alive, restarts,
-        heartbeat age), refreshing ``repro_worker_up`` and — in process
-        mode — ``repro_worker_restarts_total`` as a side effect.
+        heartbeat age), refreshing ``repro_worker_up`` as a side effect.
 
         In thread mode entries describe the scheduler's worker threads
-        (no heartbeats; restarts are counted by the scheduler itself).
+        (no heartbeats). Restarts reach ``repro_worker_restarts_total``
+        where supervision performs them: in the scheduler for threads,
+        in the pool's supervisor for worker processes.
         """
         if self._process_pool is not None:
             entries = self._process_pool.liveness()
-            restarts = self._process_pool.restarts
-            delta = restarts - self._pool_restarts_seen
-            if delta > 0:
-                self._pool_restarts_seen = restarts
-                self._worker_restarts_total.inc(delta)
         else:
             entries = self.scheduler.worker_liveness()
         for entry in entries:

@@ -263,6 +263,8 @@ class ReplicaFleet:
             name=name, init_timeout=init_timeout,
             restart_backoff=restart_backoff, max_backoff=max_backoff,
             max_restarts=max_restarts, poll_interval=poll_interval,
+            on_restart=(None if self._replica_restarts is None
+                        else self._replica_restarts.inc),
             # Daemonic replicas die with an abandoned parent instead of
             # holding interpreter exit hostage — crash-only either way.
             # The exception: process-mode replicas spawn their own
@@ -315,11 +317,7 @@ class ReplicaFleet:
                     self._set_up(slot.index, 0)
                 if now < slot.next_start:
                     continue
-                before = replicas.restarts
                 outcome, _ = replicas.start(slot.index)
-                if (self._replica_restarts is not None
-                        and replicas.restarts > before):
-                    self._replica_restarts.inc(replicas.restarts - before)
                 if outcome is StartOutcome.READY:
                     self._set_up(slot.index, 1)
 

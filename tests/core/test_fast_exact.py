@@ -113,22 +113,32 @@ class TestLagCorrelation:
     @pytest.mark.parametrize("name", ["exponential", "gaussian",
                                       "total-floor"])
     def test_matches_historical_lattice_kernel(self, name):
-        """Equal, bit for bit, to the formerly hand-fused kernel
-        ``floor + scale * f(hypot(dy, dx) / length)`` on (dy, dx)."""
+        """Equal, bit for bit, to the hand-fused kernel
+        ``floor + scale * f(sqrt(dx*dx + dy*dy) / length)`` on (dy, dx),
+        and within 1e-15 relative of the former ``hypot`` kernel, whose
+        distances are at most 1 ulp away."""
         correlation = CORRELATIONS[name]
         rho = _lag_correlation(self.grid(9, 6, 12e-6, 15e-6), correlation)
         dj = np.arange(-5, 6) * 12e-6
         di = np.arange(-8, 9) * 15e-6
-        distance = np.hypot(di[:, None], dj[None, :])
         wid = correlation.wid if name == "total-floor" else correlation
-        if name == "gaussian":
-            base = np.exp(-((distance / wid.length) ** 2))
-        else:
-            base = np.exp(-distance / wid.length)
-        if name == "total-floor":
-            floor = correlation.rho_floor
-            base = floor + (1.0 - floor) * base
-        assert np.array_equal(rho, base)
+
+        def kernel(distance):
+            if name == "gaussian":
+                base = np.exp(-((distance / wid.length) ** 2))
+            else:
+                base = np.exp(-distance / wid.length)
+            if name == "total-floor":
+                floor = correlation.rho_floor
+                base = floor + (1.0 - floor) * base
+            return base
+
+        dx, dy = dj[None, :], di[:, None]
+        distance = np.sqrt(dx * dx + dy * dy)
+        assert np.array_equal(rho, kernel(distance))
+        oracle = np.hypot(di[:, None], dj[None, :])
+        assert np.all(np.abs(distance - oracle) <= np.spacing(oracle))
+        np.testing.assert_allclose(rho, kernel(oracle), rtol=1e-15, atol=0)
 
 
 class TestGridDetection:

@@ -15,7 +15,11 @@ import pytest
 
 from repro.core import CellUsage, FullChipLeakageEstimator
 from repro.core.api import estimate_sweep
-from repro.core.estimators.linear import LagGeometry, linear_variance
+from repro.core.estimators.linear import (
+    _LAG_BLOCK_ELEMENTS,
+    LagGeometry,
+    linear_variance,
+)
 from repro.core.sweep import (
     SweepAxis,
     cell_count_axis,
@@ -316,9 +320,13 @@ class TestLagGeometry:
     @pytest.mark.parametrize("simplified", [True, False])
     def test_variance_from_rho_matches_historical_reduce(
             self, small_characterization, usage, simplified):
-        """The eq. (17) reduce is the historical op sequence, bit for
-        bit: map rho to covariances (scale or interpolation), put the
-        RG variance on the zero lag, sum against the multiplicities."""
+        """The eq. (17) reduce is this op sequence, bit for bit: map rho
+        to covariances (scale or interpolation), put the RG variance on
+        the zero lag, sum each lag row against ``count_y``, then the
+        row sums against ``count_x``. The grid fits in one block.
+
+        The former ``sum(counts * cov)`` over the full table stays as an
+        oracle: only the summation order differs (REDUCE_RTOL)."""
         estimator = FullChipLeakageEstimator(
             small_characterization, usage, 1_000, 0.5e-3, 0.5e-3,
             simplified_correlation=simplified)
@@ -333,8 +341,12 @@ class TestLagGeometry:
         else:
             cov = np.interp(rho, rg.covariance_grid, rg.covariance_values)
         cov[geometry.zero_lag] = rg.same_site_covariance
-        want = float(np.sum(geometry.counts * cov))
-        assert geometry.variance_from_rho(rho, rg) == want
+        row_sums = np.sum(cov * geometry.count_y, axis=1)
+        want = float(np.sum(geometry.count_x * row_sums))
+        got = geometry.variance_from_rho(rho, rg)
+        assert got == want
+        historical = float(np.sum(geometry.counts * cov))
+        assert got == pytest.approx(historical, rel=REDUCE_RTOL)
 
     def test_simplified_reduce_does_not_mutate_rho(
             self, small_characterization, usage):
@@ -351,8 +363,9 @@ class TestLagGeometry:
     @pytest.mark.parametrize("gaussian", [False, True])
     @pytest.mark.parametrize("wrap", ["bare", "total", "scaled"])
     def test_rho_matches_historical_lattice_kernel(self, gaussian, wrap):
-        """The lattice rho equals the formerly hand-fused kernel
-        ``floor + scale * f(hypot(x, y) / length)`` bit for bit."""
+        """The lattice rho equals the hand-fused kernel
+        ``floor + scale * f(sqrt(x*x + y*y) / length)`` bit for bit, and
+        the former ``hypot`` kernel within 1 ulp of distance."""
         length = 0.5e-3
         family = GaussianCorrelation if gaussian else ExponentialCorrelation
         correlation = family(length)
@@ -365,13 +378,24 @@ class TestLagGeometry:
             correlation = ScaledCorrelation(correlation, 0.65)
             scale = 0.65
         geometry = LagGeometry(11, 13, 2e-6, 3e-6)
-        distance = np.hypot(geometry.x[:, None], geometry.y[None, :])
-        if gaussian:
-            base = np.exp(-((distance / length) ** 2))
-        else:
-            base = np.exp(-distance / length)
-        want = base if (floor, scale) == (0.0, 1.0) else floor + scale * base
-        assert np.array_equal(geometry.rho(correlation), want)
+        x, y = geometry.x[:, None], geometry.y[None, :]
+
+        def kernel(distance):
+            if gaussian:
+                base = np.exp(-((distance / length) ** 2))
+            else:
+                base = np.exp(-distance / length)
+            if (floor, scale) == (0.0, 1.0):
+                return base
+            return floor + scale * base
+
+        rho = geometry.rho(correlation)
+        distance = np.sqrt(x * x + y * y)
+        assert np.array_equal(rho, kernel(distance))
+        oracle = np.hypot(x, y)
+        assert np.all(np.abs(distance - oracle) <= np.spacing(oracle))
+        np.testing.assert_allclose(rho, kernel(oracle), rtol=RHO_RTOL,
+                                   atol=0)
 
     def test_rho_axis_layout_for_anisotropic_model(self):
         """x lags vary along axis 0 and y lags along axis 1."""
@@ -395,6 +419,13 @@ class TestLagGeometry:
             geometry.counts,
             np.outer([4, 6, 4, 2], [3, 4, 2]))
         assert geometry.n_lags == 12
+
+
+#: Relative agreement of lag ``rho`` with the ``np.hypot`` kernel: the
+#: distances differ by at most 1 ulp (docs/THEORY.md section 4).
+RHO_RTOL = 1e-15
+#: Relative agreement of the separable reduce with ``sum(counts * cov)``.
+REDUCE_RTOL = 1e-14
 
 
 def full_lattice_variance(rows, cols, pitch_x, pitch_y, correlation, rg):
@@ -457,3 +488,107 @@ class TestQuadrantFold:
         got = linear_variance(rows, cols, pitch_x, pitch_y, correlation,
                               rg)
         assert got == pytest.approx(want, rel=FOLD_RTOL)
+
+
+class TestOnePass:
+    """``LagGeometry.variance`` — eq. (17) kernel and reduce in one pass
+    over blocks of lag rows — against the two-stage cached-``rho``
+    path that sweeps use."""
+
+    SHAPES = [(7, 11), (1, 40_000), (40_000, 1), (40_000, 3), (300, 250)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("simplified", [True, False])
+    @pytest.mark.parametrize("model", sorted(_fold_models()))
+    def test_bit_identical_to_variance_from_rho(
+            self, small_characterization, usage, model, simplified, shape):
+        rows, cols = shape
+        correlation = _fold_models()[model]
+        rg = FullChipLeakageEstimator(
+            small_characterization, usage, 1_000, 0.5e-3, 0.5e-3,
+            simplified_correlation=simplified).rg_correlation
+        geometry = LagGeometry(rows, cols, 1.1e-5, 0.9e-5)
+        if shape in ((1, 40_000), (40_000, 3), (300, 250)):
+            assert cols > _LAG_BLOCK_ELEMENTS // rows  # several blocks
+        two_stage = geometry.variance_from_rho(geometry.rho(correlation),
+                                               rg)
+        assert geometry.variance(correlation, rg) == two_stage
+        assert linear_variance(rows, cols, 1.1e-5, 0.9e-5, correlation,
+                               rg) == two_stage
+
+    def test_multi_block_reduce_does_not_mutate_rho(
+            self, small_characterization, usage):
+        rg = FullChipLeakageEstimator(
+            small_characterization, usage, 1_000, 0.5e-3, 0.5e-3,
+            simplified_correlation=True).rg_correlation
+        geometry = LagGeometry(300, 250, 2e-6, 2e-6)
+        rho = np.random.default_rng(5).uniform(-1.0, 1.0, (250, 300))
+        snapshot = rho.copy()
+        geometry.variance_from_rho(rho, rg)
+        assert np.array_equal(rho, snapshot)
+
+    def test_range_check_covers_every_block(self, small_characterization,
+                                            usage):
+        rg = FullChipLeakageEstimator(
+            small_characterization, usage, 1_000, 0.5e-3, 0.5e-3,
+            simplified_correlation=True).rg_correlation
+        geometry = LagGeometry(300, 250, 2e-6, 2e-6)
+        rho = np.zeros((250, 300))
+        rho[-1, -1] = -1.5
+        with pytest.raises(EstimationError, match=r"\[-1, 1\]"):
+            geometry.variance_from_rho(rho, rg)
+
+    def test_peak_memory_at_one_million_sites(self, small_characterization,
+                                              usage):
+        """No ``m x k`` temporary: the 1024 x 1024 pass stays far below
+        one 8 MiB lag table."""
+        import tracemalloc
+
+        rg = FullChipLeakageEstimator(
+            small_characterization, usage, 1_000, 0.5e-3, 0.5e-3
+        ).rg_correlation
+        correlation = \
+            small_characterization.technology.total_correlation
+        tracemalloc.start()
+        try:
+            linear_variance(1024, 1024, 4.9e-6, 4.9e-6, correlation, rg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_one_million_sites_identical_across_interpreters(self):
+        """A fresh interpreter, and one with single-threaded OpenBLAS,
+        print the same 1M-site linear estimate to the last digit."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        script = (
+            "from repro.cells import build_library\n"
+            "from repro.characterization import characterize_library\n"
+            "from repro.core import CellUsage, FullChipLeakageEstimator\n"
+            "from repro.process import synthetic_90nm\n"
+            "technology = synthetic_90nm(correlation_length=0.5e-3)\n"
+            "characterization = characterize_library(\n"
+            "    build_library(), technology, cells=['INV_X1', 'NAND2_X1'])\n"
+            "usage = CellUsage({'INV_X1': 0.6, 'NAND2_X1': 0.4})\n"
+            "estimate = FullChipLeakageEstimator(\n"
+            "    characterization, usage, 1 << 20, 5e-3, 5e-3\n"
+            ").estimate('linear')\n"
+            "print(repr((estimate.mean, estimate.std,\n"
+            "            estimate.details['site_variance'])))\n")
+        outputs = []
+        for threads in (None, "1"):
+            env = dict(os.environ, PYTHONPATH=source)
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120).stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("(")

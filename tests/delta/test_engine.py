@@ -196,6 +196,33 @@ class TestSamePitchReuse:
         assert_close(delta, fresh)
 
 
+    def test_hypot_built_base_rho_shrinks_within_bounds(
+            self, small_characterization):
+        """A base stored by a revision whose kernel measured distances
+        with ``np.hypot`` (rho up to 1 ulp of distance away) still
+        crops into a same-pitch shrink that matches a fresh estimate."""
+        pitch = 1e-5
+        usage = CellUsage.uniform(small_characterization.cell_names)
+        base = BaseEstimate.build(small_characterization, usage, 64 * 64,
+                                  64 * pitch, 64 * pitch)
+        x = np.arange(64)[:, None] * base.chip.pitch_x
+        y = np.arange(64)[None, :] * base.chip.pitch_y
+        hypot_rho = base.correlation._evaluate(np.hypot(x, y))
+        assert not np.array_equal(hypot_rho, base.rho)
+        document = dict(base.to_dict(), rho=hypot_rho.tolist())
+        stored = BaseEstimate.from_dict(
+            document, characterization=small_characterization,
+            correlation=base.correlation)
+        edit = FloorplanResizeEdit(n_cells=40 * 48, width=48 * pitch,
+                                   height=40 * pitch)
+        delta = estimate_delta(stored, edit)
+        assert delta.details["delta"]["lags_recomputed"] == 0
+        fractions, n, w, h = fold_reference(base, [edit])
+        fresh = fresh_estimate(small_characterization, fractions, n, w, h,
+                               base.signal_probability)
+        assert_close(delta, fresh)
+
+
 class TestDeltaProbe:
     def test_probe_matches_estimate_delta(self, base):
         target = {name: value * (1.3 if name == "INV_X1" else 1.0)

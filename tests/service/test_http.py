@@ -159,6 +159,39 @@ class TestMetricsScrape:
         assert "repro_request_seconds_bucket" in text
         assert "repro_queue_depth" in text
 
+    def test_process_worker_respawn_counts_without_health_check(self):
+        """The supervisor counts a worker-process respawn when it
+        performs it: a bare ``/v1/metrics`` scrape, with no health
+        check before it, shows the restart."""
+        client = ServiceClient(workers=1, worker_mode="process",
+                               process_pool={"heartbeat_interval": 0.02})
+        http_server = create_server(client, port=0)
+        thread = threading.Thread(target=http_server.serve_forever,
+                                  daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{http_server.server_address[1]}"
+        pool = client._process_pool
+        try:
+            deadline = time.monotonic() + 60.0
+            while client.worker_liveness()[0]["state"] != "up":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            os.kill(client.worker_liveness()[0]["pid"], signal.SIGKILL)
+            while pool.restarts < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            status, text = get(base, "/v1/metrics")
+            assert status == 200
+            samples = [line for line in text.splitlines()
+                       if line.startswith("repro_worker_restarts_total ")]
+            assert [float(line.rsplit(" ", 1)[1])
+                    for line in samples] == [1.0]
+        finally:
+            http_server.shutdown()
+            http_server.server_close()
+            thread.join(timeout=5.0)
+            client.close()
+
 
 class TestReadiness:
     def test_readyz_ok_when_serving(self, server):
