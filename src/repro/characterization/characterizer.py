@@ -8,7 +8,7 @@ fit-plus-MGF route — and bundles the results for the Random-Gate layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,6 +73,20 @@ class CellCharacterization:
         return mean, math.sqrt(max(0.0, second - mean * mean))
 
 
+def characterization_inputs(technology: Technology) -> Tuple:
+    """Everything of ``technology`` that characterization reads.
+
+    Every field but the WID correlation and the D2D/WID split of the
+    channel length, of which only the nominal and the total sigma are
+    read (eqs. (1)-(5)); the split and the correlation enter only at
+    chip level. Technologies with equal inputs characterize bit for
+    bit alike.
+    """
+    return (technology.length.nominal, technology.length.sigma) + tuple(
+        getattr(technology, field.name) for field in fields(technology)
+        if field.name not in ("length", "wid_correlation"))
+
+
 class LibraryCharacterization:
     """Characterized standard-cell library.
 
@@ -115,6 +129,23 @@ class LibraryCharacterization:
         """Iterate over every characterized state."""
         for cell_char in self._cells.values():
             yield from cell_char.states
+
+    def bound_to(self, technology: Technology) -> "LibraryCharacterization":
+        """This cell table bound to ``technology``.
+
+        Chip-level code reads the WID correlation and the D2D/WID split
+        from :attr:`technology`; this rebinds them without
+        re-characterizing. ``technology`` must agree on every
+        :func:`characterization_inputs` entry.
+        """
+        if (characterization_inputs(technology)
+                != characterization_inputs(self.technology)):
+            raise CharacterizationError(
+                "cannot rebind a characterization to a technology that "
+                "characterizes differently (only the WID correlation "
+                "and the D2D/WID split may differ)")
+        return LibraryCharacterization(self.library, technology, self.mode,
+                                       self._cells)
 
 
 def characterize_library(

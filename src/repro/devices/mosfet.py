@@ -52,7 +52,7 @@ _EXP_CLAMP = 60.0
 
 
 def _clamped_exp(x: np.ndarray) -> np.ndarray:
-    return np.exp(np.clip(x, -_EXP_CLAMP, _EXP_CLAMP))
+    return np.exp(np.minimum(np.maximum(x, -_EXP_CLAMP), _EXP_CLAMP))
 
 
 @dataclass(frozen=True)
@@ -93,27 +93,11 @@ class DeviceModel:
         :meth:`rolloff` of ``length``, so batched callers evaluate it
         once for every device that shares the lengths.
         """
-        tech = self.technology
-        n_vt = self._n_vt
-        gamma, eta = tech.body_effect, tech.dibl
-        vg = np.asarray(vg, dtype=float)
-        vs = np.asarray(vs, dtype=float)
-        vd = np.asarray(vd, dtype=float)
         if rolloff is None:
             rolloff = self.rolloff(length)
-
-        base = (vg - tech.vt.nominal_n - np.asarray(vt_shift, dtype=float)
-                + rolloff) / n_vt
-        # E(x, y): injection over the barrier at terminal x, with DIBL
-        # set by the far terminal y.
-        fwd = _clamped_exp(base + (-(1.0 + gamma) * vs + eta * (vd - vs)) / n_vt)
-        rev = _clamped_exp(base + (-(1.0 + gamma) * vd + eta * (vs - vd)) / n_vt)
-        scale = tech.i0_per_width * np.asarray(width, dtype=float)
-
-        current = scale * (fwd - rev)
-        di_dvs = scale * (fwd * (-(1.0 + gamma + eta)) - rev * eta) / n_vt
-        di_dvd = scale * (fwd * eta + rev * (1.0 + gamma + eta)) / n_vt
-        return current, di_dvs, di_dvd
+        return self.channel(self.barrier(NMOS, vg, vt_shift, rolloff), 1.0,
+                            vs, vd, self.technology.i0_per_width
+                            * np.asarray(width, dtype=float))
 
     def pmos_branch(self, vg, vs, vd, length, width, vt_shift=0.0,
                     rolloff=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,24 +108,55 @@ class DeviceModel:
         ``vs > vd``. Returns ``(i, di_dvs, di_dvd)``; ``rolloff`` as in
         :meth:`nmos_branch`.
         """
+        if rolloff is None:
+            rolloff = self.rolloff(length)
+        return self.channel(self.barrier(PMOS, vg, vt_shift, rolloff), -1.0,
+                            vs, vd, self.technology.i0_per_width
+                            * np.asarray(width, dtype=float))
+
+    def barrier(self, kind: str, vg, vt_shift=0.0, rolloff=0.0) -> np.ndarray:
+        """Gate side of the injection exponent, in units of ``n kT/q``.
+
+        The gate overdrive over the rolled-off threshold, with the body
+        at 0 V (NMOS) or VDD (PMOS). It depends on the gate voltage but
+        not on the channel terminals, so a solver whose gates sit on
+        rails evaluates it once.
+        """
+        tech = self.technology
+        vg = np.asarray(vg, dtype=float)
+        shift = np.asarray(vt_shift, dtype=float)
+        if kind == NMOS:
+            return (vg - tech.vt.nominal_n - shift + rolloff) / self._n_vt
+        return (-vg - tech.vt.nominal_p - shift + rolloff
+                - tech.body_effect * tech.vdd) / self._n_vt
+
+    def channel(self, base, sign, vs, vd,
+                scale) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Channel current ``(i, di_dvs, di_dvd)`` of devices with
+        :meth:`barrier` ``base`` and width current ``scale`` [A].
+
+        ``sign`` is +1 for NMOS and -1 for PMOS, scalar or per row. The
+        PMOS terminal exponents and derivative sums are exactly the
+        negated NMOS ones (IEEE negation, subtraction and products are
+        sign-symmetric), so one evaluation over rows of both polarities
+        gives each row the bits of its own polarity's formula.
+        """
         tech = self.technology
         n_vt = self._n_vt
         gamma, eta = tech.body_effect, tech.dibl
-        vg = np.asarray(vg, dtype=float)
         vs = np.asarray(vs, dtype=float)
         vd = np.asarray(vd, dtype=float)
-        if rolloff is None:
-            rolloff = self.rolloff(length)
-
-        base = (-vg - tech.vt.nominal_p - np.asarray(vt_shift, dtype=float)
-                + rolloff - gamma * tech.vdd) / n_vt
-        fwd = _clamped_exp(base + ((1.0 + gamma) * vs + eta * (vs - vd)) / n_vt)
-        rev = _clamped_exp(base + ((1.0 + gamma) * vd + eta * (vd - vs)) / n_vt)
-        scale = tech.i0_per_width * np.asarray(width, dtype=float)
-
+        # E(x, y): injection over the barrier at terminal x, with DIBL
+        # set by the far terminal y.
+        fwd = _clamped_exp(base + sign * (
+            (-(1.0 + gamma) * vs + eta * (vd - vs)) / n_vt))
+        rev = _clamped_exp(base + sign * (
+            (-(1.0 + gamma) * vd + eta * (vs - vd)) / n_vt))
         current = scale * (fwd - rev)
-        di_dvs = scale * (fwd * (1.0 + gamma + eta) + rev * eta) / n_vt
-        di_dvd = scale * (-fwd * eta - rev * (1.0 + gamma + eta)) / n_vt
+        di_dvs = scale * (sign * (fwd * (-(1.0 + gamma + eta))
+                                  - rev * eta)) / n_vt
+        di_dvd = scale * (sign * (fwd * eta
+                                  + rev * (1.0 + gamma + eta))) / n_vt
         return current, di_dvs, di_dvd
 
     def subthreshold_current(self, kind: str, vgs, vds, vsb,

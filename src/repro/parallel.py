@@ -467,12 +467,17 @@ class Supervisor:
                         return StartOutcome.READY, "ready"
                     detail = message[1] if kind == _MSG_INIT_ERR else message
                     return StartOutcome.INIT_ERROR, f"init failed: {detail!r}"
+                if not process.is_alive():
+                    # The child may have exited after the poll timed
+                    # out: read what it left (a message, or EOF) above.
+                    # Only a pipe a grandchild still holds stays empty.
+                    if conn.poll(0):
+                        continue
+                    return (StartOutcome.EXITED, f"exited before its "
+                            f"ready handshake (code {process.exitcode})")
             except (EOFError, OSError) as exc:
                 return (StartOutcome.EOF, f"died before its ready "
                         f"handshake ({type(exc).__name__})")
-            if not process.is_alive():
-                return (StartOutcome.EXITED, f"exited before its ready "
-                        f"handshake (code {process.exitcode})")
             if time.monotonic() > ready_by:
                 return (StartOutcome.TIMEOUT, f"did not report ready "
                         f"within {self.init_timeout:g}s")

@@ -18,12 +18,19 @@ total spatial correlation between two devices at distance ``d`` is
                     {\\sigma_{dd}^2 + \\sigma_{wd}^2}
 
 which never falls below the D2D floor ``rho_floor = sigma_d2d**2 / sigma**2``.
+
+Cell characterization reads only the total ``sigma``; the split enters
+at chip level. A parameter built from a total (``synthetic_90nm``,
+:meth:`ProcessParameter.with_split`) therefore stores that total and
+derives the split from it, so the total does not move by an ulp when
+only the split changes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.exceptions import ConfigurationError
 
@@ -42,12 +49,17 @@ class ProcessParameter:
         Standard deviation of the die-to-die component.
     sigma_wid:
         Standard deviation of the within-die component.
+    total_sigma:
+        The total standard deviation the split was derived from, when
+        the parameter was built from one; ``None`` derives the total
+        from the split. It must agree with the split to rounding.
     """
 
     name: str
     nominal: float
     sigma_d2d: float
     sigma_wid: float
+    total_sigma: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.nominal <= 0:
@@ -60,15 +72,25 @@ class ProcessParameter:
         if self.sigma_d2d == 0 and self.sigma_wid == 0:
             raise ConfigurationError(
                 f"{self.name}: at least one variation component must be non-zero")
+        if self.total_sigma is not None and not math.isclose(
+                self.total_sigma, math.sqrt(self.variance), rel_tol=1e-12):
+            raise ConfigurationError(
+                f"{self.name}: total_sigma={self.total_sigma!r} does not "
+                f"match the split (sigma_d2d={self.sigma_d2d!r}, "
+                f"sigma_wid={self.sigma_wid!r})")
 
     @property
     def variance(self) -> float:
-        """Total variance ``sigma_d2d**2 + sigma_wid**2``."""
+        """Total variance of the split, ``sigma_d2d**2 + sigma_wid**2``
+        (``sigma**2`` to rounding)."""
         return self.sigma_d2d ** 2 + self.sigma_wid ** 2
 
     @property
     def sigma(self) -> float:
-        """Total standard deviation."""
+        """Total standard deviation: the stored total when given, else
+        derived from the split."""
+        if self.total_sigma is not None:
+            return self.total_sigma
         return math.sqrt(self.variance)
 
     @property
@@ -83,8 +105,12 @@ class ProcessParameter:
         return self.sigma / self.nominal
 
     def with_split(self, d2d_fraction: float) -> "ProcessParameter":
-        """Return a copy with the same total variance but a different D2D
+        """Return a copy with the same total sigma but a different D2D
         variance fraction.
+
+        The total is carried over exactly (:attr:`sigma` of the copy is
+        :attr:`sigma` of this parameter), so whatever reads only the
+        total — cell characterization — sees the same number.
 
         Parameters
         ----------
@@ -101,6 +127,7 @@ class ProcessParameter:
             nominal=self.nominal,
             sigma_d2d=math.sqrt(d2d_fraction * total_var),
             sigma_wid=math.sqrt((1.0 - d2d_fraction) * total_var),
+            total_sigma=self.sigma,
         )
 
 

@@ -193,6 +193,7 @@ def synthetic_90nm(
         nominal=nominal_l,
         sigma_d2d=(d2d_fraction ** 0.5) * sigma_l,
         sigma_wid=((1.0 - d2d_fraction) ** 0.5) * sigma_l,
+        total_sigma=sigma_l,
     )
     vt = VtSpec(nominal_n=0.26, nominal_p=0.28, sigma=0.018)
     return Technology(

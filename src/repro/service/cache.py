@@ -133,21 +133,15 @@ class TierStats:
                 "corruptions": self.corruptions}
 
 
-def _entry_nbytes(value: Any, payload: Any = None) -> int:
-    """Approximate in-memory footprint of one cache entry.
+def _entry_nbytes(value: Any) -> int:
+    """Shallow ``sys.getsizeof`` of a memory-only entry.
 
-    Entries with a JSON payload are sized by their serialized form (the
-    exact figure the disk layer writes); live-object tiers (``rg``) fall
-    back to a shallow ``sys.getsizeof`` — an order-of-magnitude figure,
-    which is what capacity planning off ``/v1/healthz`` needs.
+    An order-of-magnitude floor, which is what capacity planning off
+    ``/v1/healthz`` needs; disk-backed entries are sized by the bytes of
+    their disk document instead (no second serialization to size them).
     """
     import sys
 
-    if payload is not None:
-        try:
-            return len(json.dumps(payload))
-        except (TypeError, ValueError):
-            pass
     try:
         return int(sys.getsizeof(value))
     except TypeError:
@@ -394,15 +388,18 @@ class ResultCache:
             if self._faults is not None:
                 raw = self._faults.corrupt(SITE_CACHE_READ, raw)
             status, payload = self._check_entry(tier, key, path, raw)
-            return payload if status == "valid" else MISS
+            return (payload, len(raw)) if status == "valid" else MISS
 
-    def _disk_write(self, tier: str, key: str, payload: Any) -> None:
+    def _disk_write(self, tier: str, key: str,
+                    payload: Any) -> Optional[int]:
+        """Write one entry; the document's size in bytes, or None when
+        there is no disk tier or its shard lock timed out."""
         if self.persist_dir is None:
-            return
+            return None
         with self._shard_lock(self.shard_of(key), exclusive=True) as held:
             if not held:
                 self._note_lock_timeout(tier)
-                return  # memory tier already updated; disk write skipped
+                return None  # the memory tier still takes the entry
             document = {"stamp": self.stamp, "tier": tier, "key": key,
                         "checksum": payload_checksum(payload),
                         "payload": payload}
@@ -426,6 +423,7 @@ class ResultCache:
                     os.unlink(tmp_path)
                 except OSError:
                     pass
+            return len(raw)
 
     def rebuild(self) -> Dict[str, int]:
         """Validate every on-disk entry after a restart.
@@ -486,30 +484,37 @@ class ResultCache:
                 value = entries[key]
                 self._record(tier, "hit")
                 return value
-        payload = self._disk_read(tier, key)
-        if payload is MISS:
+        found = self._disk_read(tier, key)
+        if found is MISS:
             with self._lock:
                 self._stats[tier].misses += 1
             self._record(tier, "miss")
             return MISS
+        payload, nbytes = found
         value = revive(payload) if revive is not None else payload
         with self._lock:
             self._stats[tier].disk_hits += 1
-            self._insert(tier, key, value,
-                         nbytes=_entry_nbytes(value, payload))
+            self._insert(tier, key, value, nbytes=nbytes)
         self._record(tier, "disk_hit")
         return value
 
     def put(self, tier: str, key: str, value: Any,
             payload: Any = None) -> None:
         """Store ``value`` in memory and, when ``payload`` is given and a
-        persist directory is configured, its JSON form on disk."""
+        persist directory is configured, its JSON form on disk.
+
+        Only the disk write serializes the payload, and the size of the
+        document it writes sizes the entry; without a disk write the
+        entry is sized by :func:`_entry_nbytes`.
+        """
         self._check_tier(tier)
-        nbytes = _entry_nbytes(value, payload)
+        nbytes = None
+        if payload is not None:
+            nbytes = self._disk_write(tier, key, payload)
+        if nbytes is None:
+            nbytes = _entry_nbytes(value)
         with self._lock:
             self._insert(tier, key, value, nbytes=nbytes)
-        if payload is not None:
-            self._disk_write(tier, key, payload)
 
     def _insert(self, tier: str, key: str, value: Any,
                 nbytes: int = 0) -> None:
@@ -532,7 +537,8 @@ class ResultCache:
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-tier hit/miss/eviction/corruption counts plus entry count
-        and approximate resident bytes (see :func:`_entry_nbytes`)."""
+        and ``bytes``: disk-document bytes of disk-backed entries plus a
+        shallow ``sys.getsizeof`` of memory-only ones (see :meth:`put`)."""
         with self._lock:
             report = {}
             for tier in TIERS:

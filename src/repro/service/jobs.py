@@ -346,14 +346,17 @@ class EstimateRequest:
     def characterization_key(self) -> str:
         """Content hash of the characterization-determining subset.
 
-        Only the technology, the characterization mode, and the cell
-        subset matter — usage, geometry, and estimator knobs do not — so
-        a corner/temperature sweep over one library shares one entry per
-        corner, and different designs under one corner share the same
-        entry.
+        Characterization (eqs. (1)-(5)) reads the total L sigma and the
+        operating temperature of the technology, the mode and the cell
+        subset — not the WID correlation length or the D2D/WID split,
+        which enter only at chip level, nor usage, geometry or the
+        estimator knobs. So correlation-only revisits of a corner, and
+        different designs under one corner, share one entry.
         """
+        technology = self.technology.to_dict()
         return _content_hash("characterization", {
-            "technology": self.technology.to_dict(),
+            "sigma_l": technology["sigma_l"],
+            "temperature_c": technology["temperature_c"],
             "mode": self.mode,
             "cells": None if self.cells is None else list(self.cells),
         })
@@ -363,8 +366,9 @@ class EstimateRequest:
 
         The RG statistics (eqs. (6)-(11)) depend on the characterized
         library plus the usage histogram and signal probability — not on
-        the die geometry or estimator method — so sweeps over cell
-        count / die size / method reuse one RG bundle.
+        the die geometry, the estimator method or the correlation (the
+        RG reads the total L sigma only) — so sweeps over cell count /
+        die size / method / correlation reuse one RG bundle.
         """
         return _content_hash("rg", {
             "characterization": self.characterization_key(),

@@ -206,19 +206,33 @@ class EstimationPipeline:
 
     # -- stages -----------------------------------------------------------
 
-    def _characterization(self, request: EstimateRequest, technology):
+    def _characterization(self, request: EstimateRequest):
+        """The request's characterization, bound to its own technology.
+
+        The tier is keyed on what characterization reads, so one entry
+        serves every correlation of a corner. An entry holds the
+        :class:`TechnologyConfig` that built it: a request with that
+        config gets the cached object itself (so per-object caches such
+        as the thermal anchor ladder keep hitting), any other a view of
+        the same cell table bound to the request's technology.
+        """
+        config = request.technology
         key = request.characterization_key()
-        revive = lambda payload: parse_characterization(  # noqa: E731
-            json.dumps(payload), self.library, technology)
+        revive = lambda payload: (config, parse_characterization(  # noqa: E731
+            json.dumps(payload), self.library, config.build()))
         cached = self.cache.get(TIER_CHARACTERIZATION, key, revive=revive)
         if cached is not MISS:
-            return cached
+            built_by, characterization = cached
+            if built_by == config:
+                return characterization
+            return characterization.bound_to(config.build())
         with span("characterize", mode=request.mode):
             characterization = characterize_library(
-                self.library, technology, mode=request.mode,
+                self.library, config.build(), mode=request.mode,
                 cells=request.cells)
         with span("cache_store", tier=TIER_CHARACTERIZATION):
-            self.cache.put(TIER_CHARACTERIZATION, key, characterization,
+            self.cache.put(TIER_CHARACTERIZATION, key,
+                           (config, characterization),
                            payload=characterization_document(
                                characterization))
         return characterization
@@ -479,8 +493,7 @@ class EstimationPipeline:
             return cached
 
         self._heartbeat(job)
-        technology = request.technology.build()
-        characterization = self._characterization(request, technology)
+        characterization = self._characterization(request)
         self._heartbeat(job)
         components = self._components(request, characterization)
         self._heartbeat(job)
@@ -586,8 +599,7 @@ class EstimationPipeline:
             characterization = characterizations.get(point.technology)
             if characterization is None:
                 self._heartbeat(job)
-                characterization = self._characterization(
-                    point, point.technology.build())
+                characterization = self._characterization(point)
                 characterizations[point.technology] = characterization
             overrides.append({
                 "characterization": characterization,
@@ -701,8 +713,7 @@ class EstimationPipeline:
             request, base = self._use_base(key)
         if base is not None:
             return base
-        technology = request.technology.build()
-        characterization = self._characterization(request, technology)
+        characterization = self._characterization(request)
         self._heartbeat(job)
         components = self._components(request, characterization)
         self._heartbeat(job)
@@ -729,8 +740,7 @@ class EstimationPipeline:
 
         from repro.delta.edits import FloorplanResizeEdit
 
-        technology = request.technology.build()
-        characterization = self._characterization(request, technology)
+        characterization = self._characterization(request)
         usage = self._usage(request, characterization)
         fractions = dict(usage.items())
         n_cells = request.n_cells

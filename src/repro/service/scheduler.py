@@ -411,9 +411,15 @@ class EstimationScheduler:
             # under it, and joining a never-started thread raises.
             thread.start()
 
-    def _spend_restart(self, slot: str) -> int:
+    def _spend_restart(self, slot: str,
+                       retiring: Optional[threading.Thread] = None) -> int:
         """Take one restart from the budget and return its ordinal; 0
-        when stopping or spent (the caller's worker then stays down)."""
+        when stopping or spent (the caller's worker then stays down).
+
+        A spent budget retires ``retiring`` — the crashed thread that
+        asked — from the worker list before the event is recorded, so
+        whoever reads the event sees the worker already down.
+        """
         with self._lock:
             if self._stop.is_set():
                 return 0
@@ -421,6 +427,8 @@ class EstimationScheduler:
             if not spent:
                 self._restarts += 1
                 ordinal = self._restarts
+            elif retiring in self._threads:
+                self._threads.remove(retiring)
         if spent:
             self._events.record(slot, 0, os.getpid(), "budget_exhausted",
                                 f"restart budget ({MAX_WORKER_RESTARTS}) "
@@ -452,7 +460,7 @@ class EstimationScheduler:
                     self._requeue_or_fail(job, reason)
                 if not isinstance(exc, Exception):
                     raise  # an exit or interrupt ends the thread
-                if abandoned or not self._spend_restart(slot):
+                if abandoned or not self._spend_restart(slot, thread):
                     return
 
     def _supervise_loop(self) -> None:

@@ -104,6 +104,22 @@ class CellNetlist:
                 f"{self.name}: nodes {sorted(overlap)} are both inputs and "
                 "logic nodes")
 
+    def __hash__(self) -> int:
+        # The solver's stamp cache hashes a netlist once per (cell,
+        # state) system; the fields are immutable, so hash them once.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.name, self.transistors, self.inputs,
+                           self.logic_nodes))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> Dict[str, object]:
+        # String hashes are salted per process: never ship the cache.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @property
     def channel_nodes(self) -> FrozenSet[str]:
         """All nodes touched by a channel (drain or source) terminal."""

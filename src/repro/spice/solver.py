@@ -18,18 +18,19 @@ The whole batch is one array problem:
   indices and kept in a bounded cache keyed by the netlist's value and
   the state's pinned levels. A batch's table is the concatenation of
   its stamps with the local indices offset.
-* **One device call per polarity per iteration**, on ``(T, S)`` arrays,
-  with the Vt roll-off of the shared lengths computed once.
+* **One device call per iteration** for both polarities, on ``(T, S)``
+  arrays, with the Vt roll-off of the shared lengths and (gates on
+  rails) the gate-side barrier computed once.
 * **KCL assembly** scatters residuals, Jacobian entries and supply
-  outflow with ``np.add.at`` in transistor order, so every system sums
-  its terms in the same order as a solve of that system alone.
+  outflow with ``np.bincount`` in transistor order, so every system
+  sums its terms in the same order as a solve of that system alone.
 * **Solve per free-node count.** Systems are grouped by their number of
   free nodes F and each group takes one batched ``numpy.linalg.solve``
   of its ``(F, F)`` Jacobians. A SPICE-style ``gmin`` to ground keeps
   them non-singular.
 * **Convergence per system.** A system converges when its largest
-  Newton step is below ``_VTOL``; it is then frozen and dropped from
-  the active table. Systems that have not converged restart from the
+  Newton step is below ``_VTOL``; it is then frozen, and dropped from
+  the active table once such systems hold half its rows. Systems that have not converged restart from the
   next initial guess (0.5, 0.05, 0.95 of VDD); a singular Jacobian
   fails only its own system for the current guess. A system that fails
   every guess raises :class:`~repro.exceptions.SolverError` naming its
@@ -211,18 +212,27 @@ class _Table:
     PMOS, so each polarity is one contiguous slice; the scatter lists
     keep system order and each system's transistor order. Every
     scatter list is a tuple of ``(system, target, position, sign)``
-    arrays: ``target`` is the row the term adds into, ``position`` the
-    table row (offset by the table size for the second of a pair of
-    device outputs) and ``sign`` the +-1 factor applied to it.
+    arrays: ``target`` is the flat ``(row, sample)`` index the term
+    adds into, one per sample, ``position`` the table row (offset by
+    the table size for the second of a pair of device outputs) and
+    ``sign`` the +-1 factor applied to it.
+
+    Per-device constants are evaluated once: the polarity sign and
+    width current of :meth:`DeviceModel.channel`, and — when every gate
+    sits on a rail, as in every library cell — the gate-side
+    :meth:`DeviceModel.barrier`. ``groups`` lists the systems of each
+    free-node count F with the node-voltage rows, residual rows and
+    Jacobian entries of their ``(F, F)`` blocks.
     """
 
     def __init__(self, systems, model: DeviceModel, n_samples: int,
-                 vt_shifts) -> None:
+                 vt_shifts, rolloff: np.ndarray) -> None:
         stamps = [_stamp(netlist, state) for netlist, state in systems]
         index = np.arange(len(stamps))
+        self.n_samples = n_samples
         self.n_free = np.array([s.n_free for s in stamps], dtype=np.intp)
-        self.free_start = _starts(self.n_free)
-        self.entry_start = _starts(self.n_free ** 2)
+        self.free_start = free_start = _starts(self.n_free)
+        entry_start = _starts(self.n_free ** 2)
         self.n_rows = int(self.n_free.sum())
         self.n_entries = int((self.n_free ** 2).sum())
         n_high = [s.n_high for s in stamps]
@@ -238,15 +248,18 @@ class _Table:
         self.n_transistors = int(order.size)
         self.n_nmos = int(nmos.sum())
         self.sys = owner[order]
+        tech = model.technology
         self.width = (np.concatenate([s.width_mult for s in stamps])
-                      * model.technology.min_width)[order][:, None]
+                      * tech.min_width)[order][:, None]
+        self.sign = np.where(nmos[order], 1.0, -1.0)[:, None]
+        self.scale = tech.i0_per_width * self.width
         # Node-voltage rows of each device's gate, source and drain.
         terminals = np.concatenate([s.terminals for s in stamps], axis=1)
         terminals = terminals + np.where(
-            terminals >= _FIRST_FREE_ROW, self.free_start[owner], 0)
+            terminals >= _FIRST_FREE_ROW, free_start[owner], 0)
         self.terminals = terminals[:, order]
         if vt_shifts is None:
-            self.shift = None
+            self.shift = 0.0
         else:
             matrix = np.empty((order.size, n_samples))
             row = 0
@@ -255,91 +268,100 @@ class _Table:
                     matrix[row] = shifts.get(name, 0.0)
                     row += 1
             self.shift = matrix[order]
+        self.base = None
+        if np.all(self.terminals[0] < _FIRST_FREE_ROW):
+            rails = np.zeros((_FIRST_FREE_ROW, n_samples))
+            rails[_VDD_ROW] = tech.vdd
+            self.base = _barrier(model, rails[self.terminals[0]],
+                                 self.shift, self.n_nmos, rolloff)
         transistor_start = _starts(np.array(counts))
         self.residual = self._plan(
-            [s.residual for s in stamps], self.free_start, transistor_start)
+            [s.residual for s in stamps], free_start, transistor_start)
         self.jacobian = self._plan(
-            [s.jacobian for s in stamps], self.entry_start, transistor_start)
+            [s.jacobian for s in stamps], entry_start, transistor_start)
         self.outflow = self._plan(
             [s.outflow for s in stamps], _starts(np.array(n_high)),
             transistor_start)
         self.gate_flow = self._plan(
             [s.gate_flow for s in stamps], index, transistor_start)
 
+        self.groups = []
+        for size in np.unique(self.n_free[self.n_free > 0]):
+            members = np.flatnonzero(self.n_free == size)
+            rows = free_start[members][:, None] + np.arange(size)
+            entries = (entry_start[members][:, None, None]
+                       + np.arange(size)[:, None] * size + np.arange(size))
+            self.groups.append((int(size), members, _FIRST_FREE_ROW + rows,
+                                rows, entries))
+
     def _plan(self, parts, target_start: np.ndarray,
               transistor_start: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Local ``(target, transistor, output, sign)`` terms per system
-        -> batch ``(system, target, position, sign)`` arrays."""
+        -> batch ``(system, flat target, position, sign)`` arrays."""
         systems = np.repeat(np.arange(len(parts)),
                             [len(part) for part in parts])
         terms = np.concatenate(parts)
         targets, transistors, outputs = terms[:, :3].astype(np.intp).T
         positions = (self.position[transistors + transistor_start[systems]]
                      + self.n_transistors * outputs)
-        return (systems, targets + target_start[systems], positions,
-                terms[:, 3])
+        flat = ((targets + target_start[systems])[:, None] * self.n_samples
+                + np.arange(self.n_samples))
+        return systems, flat, positions, terms[:, 3:4]
+
+
+def _barrier(model: DeviceModel, vg: np.ndarray, shift, n_nmos: int,
+             rolloff: np.ndarray) -> np.ndarray:
+    """:meth:`DeviceModel.barrier` of NMOS-first rows with gates ``vg``."""
+    return np.concatenate([
+        model.barrier(kind, vg[lo:hi],
+                      shift if np.ndim(shift) == 0 else shift[lo:hi], rolloff)
+        for kind, lo, hi in ((NMOS, 0, n_nmos), (PMOS, n_nmos, len(vg)))])
 
 
 class _Active:
     """The rows of a :class:`_Table` that belong to a subset of systems.
 
     Positions in the scatter lists are remapped to the compacted table;
-    targets keep their batch-wide numbering, flattened with the sample
-    axis so each scatter is one 1-D ``np.add.at``. ``groups`` lists the
-    systems of each free-node count F with the rows and Jacobian
-    entries of their ``(F, F)`` blocks.
+    targets keep their batch-wide flat numbering, so each scatter is
+    one ``np.bincount``.
     """
 
-    def __init__(self, table: _Table, active: np.ndarray,
-                 n_samples: int) -> None:
+    def __init__(self, table: _Table, active: np.ndarray) -> None:
         keep = np.flatnonzero(active[table.sys])
         self.n = int(keep.size)
         self.n_nmos = int(np.count_nonzero(keep < table.n_nmos))
         self.width = table.width[keep]
+        self.sign = table.sign[keep]
+        self.scale = table.scale[keep]
         self.terminals = table.terminals[:, keep]
-        self.shift = 0.0 if table.shift is None else table.shift[keep]
+        self.shift = (table.shift if np.ndim(table.shift) == 0
+                      else table.shift[keep])
+        self.base = None if table.base is None else table.base[keep]
         remap = np.full(2 * table.n_transistors, -1, dtype=np.intp)
         remap[keep] = np.arange(self.n)
         remap[keep + table.n_transistors] = np.arange(self.n) + self.n
-        samples = np.arange(n_samples)
 
         def select(plan):
-            systems, targets, positions, signs = plan
+            systems, flat, positions, signs = plan
             mask = active[systems]
-            flat = (targets[mask][:, None] * n_samples + samples).ravel()
-            return flat, remap[positions[mask]], signs[mask][:, None]
+            return flat[mask].ravel(), remap[positions[mask]], signs[mask]
 
         self.residual = select(table.residual)
         self.jacobian = select(table.jacobian)
         self.outflow = select(table.outflow)
         self.gate_flow = select(table.gate_flow)
 
-        self.systems = np.flatnonzero(active)
-        self.groups = []
-        sizes = table.n_free[self.systems]
-        for size in np.unique(sizes[sizes > 0]):
-            members = self.systems[sizes == size]
-            rows = table.free_start[members][:, None] + np.arange(size)
-            entries = (table.entry_start[members][:, None, None]
-                       + np.arange(size)[:, None] * size + np.arange(size))
-            self.groups.append((int(size), members, rows, entries))
-
-    def branches(self, model: DeviceModel, voltages: np.ndarray, length,
+    def branches(self, model: DeviceModel, voltages: np.ndarray,
                  rolloff) -> Tuple[np.ndarray, np.ndarray]:
         """Channel currents ``(T, S)`` and stacked ``[di/dvs; di/dvd]``."""
-        vg, vs, vd = voltages[self.terminals]
-        shift = self.shift
-        split = self.n_nmos
-        parts = []
-        for lo, hi, branch in ((0, split, model.nmos_branch),
-                               (split, self.n, model.pmos_branch)):
-            parts.append(branch(
-                vg[lo:hi], vs[lo:hi], vd[lo:hi], length, self.width[lo:hi],
-                shift if np.ndim(shift) == 0 else shift[lo:hi],
-                rolloff=rolloff))
-        (i_n, dvs_n, dvd_n), (i_p, dvs_p, dvd_p) = parts
-        return (np.concatenate([i_n, i_p]),
-                np.concatenate([dvs_n, dvs_p, dvd_n, dvd_p]))
+        base = self.base
+        if base is None:
+            base = _barrier(model, voltages[self.terminals[0]], self.shift,
+                            self.n_nmos, rolloff)
+        vs, vd = voltages[self.terminals[1:]]
+        current, di_dvs, di_dvd = model.channel(base, self.sign, vs, vd,
+                                                self.scale)
+        return current, np.concatenate([di_dvs, di_dvd])
 
     def gate_currents(self, model: DeviceModel, voltages: np.ndarray,
                       length) -> np.ndarray:
@@ -354,45 +376,61 @@ class _Active:
 
 
 def _scatter(n_targets: int, plan, values: np.ndarray) -> np.ndarray:
-    """Sum ``sign * values[position]`` into ``n_targets`` rows, in order."""
+    """Sum ``sign * values[position]`` into ``n_targets`` rows, in order.
+
+    ``np.bincount`` adds its weights one by one in input order, like
+    ``np.add.at``, so every target sums its terms in transistor order.
+    """
     flat, positions, signs = plan
-    out = np.zeros(n_targets * values.shape[1])
-    np.add.at(out, flat, (values[positions] * signs).ravel())
-    return out.reshape(n_targets, values.shape[1])
+    n_samples = values.shape[1]
+    return np.bincount(flat, (values[positions] * signs).ravel(),
+                       n_targets * n_samples).reshape(n_targets, n_samples)
 
 
-def _newton_update(size: int, rows: np.ndarray, entries: np.ndarray,
-                   residual, jacobian, voltages, vdd: float):
+@lru_cache(maxsize=None)
+def _gmin_eye(size: int) -> np.ndarray:
+    """``_GMIN * I`` of one ``(size, size)`` block (read-only)."""
+    eye = _GMIN * np.eye(size)
+    eye.flags.writeable = False
+    return eye
+
+
+def _newton_update(size: int, vrows: np.ndarray, rows: np.ndarray,
+                   entries: np.ndarray, residual, jacobian, voltages,
+                   vdd: float):
     """One Newton step for ``G`` systems with ``size`` free nodes each.
 
-    ``rows`` ``(G, F)`` and ``entries`` ``(G, F, F)`` locate their free
-    nodes and Jacobian blocks. Writes the updated voltages of systems
-    whose Jacobian factored (a singular one fails only its own system)
-    and returns ``(solved, settled)`` masks; ``settled`` systems took a
-    step below ``_VTOL``.
+    ``vrows`` ``(G, F)``, ``rows`` and ``entries`` ``(G, F, F)`` locate
+    their free nodes in the node-voltage matrix and the residual, and
+    their Jacobian blocks. Writes the updated voltages of systems whose
+    Jacobian factored (a singular one fails only its own system) and
+    returns ``(failed, settled)`` masks, ``failed`` None when every
+    Jacobian factored; ``settled`` systems took a step below
+    ``_VTOL``.
     """
-    x = voltages[_FIRST_FREE_ROW + rows].transpose(0, 2, 1)
+    x = voltages[vrows].transpose(0, 2, 1)
     r = residual[rows].transpose(0, 2, 1) + _GMIN * x
-    jac = jacobian[entries].transpose(0, 3, 1, 2) + _GMIN * np.eye(size)
-    solved = np.ones(len(rows), dtype=bool)
+    jac = jacobian[entries].transpose(0, 3, 1, 2) + _gmin_eye(size)
+    failed = None
     try:
         delta = np.linalg.solve(jac, -r[..., None])[..., 0]
     except np.linalg.LinAlgError:
+        failed = np.zeros(len(rows), dtype=bool)
         delta = np.zeros_like(r)
         for g in range(len(rows)):
             try:
                 delta[g] = np.linalg.solve(jac[g], -r[g][..., None])[..., 0]
             except np.linalg.LinAlgError:
-                solved[g] = False
-    delta = np.clip(delta, -_MAX_STEP, _MAX_STEP)
-    x = np.clip(x + delta, -0.2, vdd + 0.2)
-    if solved.all():
-        voltages[_FIRST_FREE_ROW + rows] = x.transpose(0, 2, 1)
+                failed[g] = True
+    delta = np.minimum(np.maximum(delta, -_MAX_STEP), _MAX_STEP)
+    x = np.minimum(np.maximum(x + delta, -0.2), vdd + 0.2)
+    settled = np.abs(delta).max(axis=(1, 2)) < _VTOL
+    if failed is None:
+        voltages[vrows] = x.transpose(0, 2, 1)
     else:
-        voltages[_FIRST_FREE_ROW + rows[solved]] = \
-            x[solved].transpose(0, 2, 1)
-    settled = solved & (np.max(np.abs(delta), axis=(1, 2)) < _VTOL)
-    return solved, settled
+        voltages[vrows[~failed]] = x[~failed].transpose(0, 2, 1)
+        settled &= ~failed
+    return failed, settled
 
 
 def solve_dc_batch(
@@ -441,14 +479,14 @@ def solve_dc_batch(
         return []
     if vt_shifts is not None:
         vt_shifts = [shifts or {} for shifts in vt_shifts]
-    table = _Table(systems, model, n_samples, vt_shifts)
     rolloff = model.rolloff(length)
+    table = _Table(systems, model, n_samples, vt_shifts, rolloff)
     n_systems = len(systems)
     voltages = np.zeros((_FIRST_FREE_ROW + table.n_rows, n_samples))
     voltages[_VDD_ROW] = tech.vdd
 
     def kcl(active: _Active):
-        current, derivs = active.branches(model, voltages, length, rolloff)
+        current, derivs = active.branches(model, voltages, rolloff)
         return (_scatter(table.n_rows, active.residual, current),
                 _scatter(table.n_entries, active.jacobian, derivs), current)
 
@@ -461,27 +499,40 @@ def solve_dc_batch(
         if not active.any():
             break
         voltages[free_rows[active[row_system]]] = guess_level * tech.vdd
-        view = _Active(table, active, n_samples)
+        view = _Active(table, active)
         for iteration in range(1, _MAX_ITER + 1):
             residual, jacobian, _ = kcl(view)
-            for size, members, rows, entries in view.groups:
+            shrunk = False
+            for size, members, vrows, rows, entries in table.groups:
                 live = active[members]
                 if not live.all():
-                    members, rows, entries = (
-                        members[live], rows[live], entries[live])
-                if not members.size:
-                    continue
-                solved, settled = _newton_update(
-                    size, rows, entries, residual, jacobian, voltages,
-                    tech.vdd)
-                done[members[settled]] = True
-                iterations[members[settled]] = iteration
-                active[members[settled | ~solved]] = False
+                    if not live.any():
+                        continue
+                    members, vrows, rows, entries = (
+                        members[live], vrows[live], rows[live],
+                        entries[live])
+                failed, settled = _newton_update(
+                    size, vrows, rows, entries, residual, jacobian,
+                    voltages, tech.vdd)
+                if settled.any():
+                    finished = members[settled]
+                    done[finished] = True
+                    iterations[finished] = iteration
+                    active[finished] = False
+                    shrunk = True
+                if failed is not None:
+                    active[members[failed]] = False
+                    shrunk = True
+            if not shrunk:
+                continue
             if not active.any():
                 break
-            # Converged and failed systems leave the table.
-            if np.count_nonzero(active[view.systems]) < view.systems.size:
-                view = _Active(table, active, n_samples)
+            # Converged and failed systems leave the table once they
+            # hold half its rows: until then evaluating their (frozen)
+            # rows costs less than compacting. Their scatter targets
+            # are their own, so the active systems' sums are unchanged.
+            if np.count_nonzero(active[table.sys]) * 2 < view.n:
+                view = _Active(table, active)
 
     if not done.all():
         netlist, state = systems[int(np.flatnonzero(~done)[0])]
@@ -489,7 +540,7 @@ def solve_dc_batch(
             f"{netlist.name}: DC solve failed to converge for state "
             f"{dict(state)!r}")
 
-    everything = _Active(table, np.ones(n_systems, dtype=bool), n_samples)
+    everything = _Active(table, np.ones(n_systems, dtype=bool))
     residual, _, current = kcl(everything)
     outflow = _scatter(len(table.high_sys), everything.outflow, current)
     supply = np.zeros((n_systems, n_samples))

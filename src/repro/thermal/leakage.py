@@ -191,12 +191,22 @@ class LeakageTemperatureModel:
         uniformly-ambient map reproduces the ambient characterization
         bit-identically.
         """
-        temperatures = np.asarray(temperatures, dtype=float)
-        self.ensure_anchors(float(temperatures.max()))
-        temps, means, stds, corr_stds, vts = self._anchor_arrays()
-        t = np.clip(temperatures, self.ambient, None)
+        t, (temps, means, stds, corr_stds, vts) = self._interpolation(
+            temperatures)
         return (np.interp(t, temps, means), np.interp(t, temps, stds),
                 np.interp(t, temps, corr_stds), np.interp(t, temps, vts))
+
+    def mean_at(self, temperatures: np.ndarray) -> np.ndarray:
+        """The mean of :meth:`moments_at` alone."""
+        t, (temps, means, _, _, _) = self._interpolation(temperatures)
+        return np.interp(t, temps, means)
+
+    def _interpolation(self, temperatures: np.ndarray):
+        """``(clipped temperatures, anchor arrays)`` covering them."""
+        temperatures = np.asarray(temperatures, dtype=float)
+        self.ensure_anchors(float(temperatures.max()))
+        return (np.clip(temperatures, self.ambient, None),
+                self._anchor_arrays())
 
     def mean_slope_at(self, temperatures: np.ndarray) -> np.ndarray:
         """Local ``d(mean)/dT`` [A/K] of the piecewise-linear model."""

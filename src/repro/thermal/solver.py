@@ -141,13 +141,19 @@ def _solve(estimator: FullChipLeakageEstimator, method: str,
             return model.full_moments_at(t_map, config.full_quantization)
         return model.moments_at(t_map)
 
+    def site_means(t_map: np.ndarray) -> np.ndarray:
+        # The fixed point reads only the mean; the fast path skips
+        # interpolating the other moments.
+        if config.mode == "full":
+            return moments(t_map)[0]
+        return model.mean_at(t_map)
+
     t_map = np.full((chip.rows, chip.cols), ambient, dtype=float)
     residuals: list = []
     converged = False
-    means = stds = corr_stds = vts = None
     for iteration in range(1, config.max_iterations + 1):
         with span("thermal.iterate", iteration=iteration):
-            means, stds, corr_stds, vts = moments(t_map)
+            means = site_means(t_map)
             power = site_power_map(means, chip.rows, chip.cols,
                                    site_scale, config, vdd)
             proposed = ambient + theta.apply(power)

@@ -99,6 +99,22 @@ class TestCanonicalization:
         corner = make(technology=TechnologyConfig(temperature_c=125.0))
         assert base.characterization_key() != corner.characterization_key()
         assert base.rg_key() != corner.rg_key()
+        # So does a total sigma_L change.
+        wider = make(technology=TechnologyConfig(sigma_l=0.07))
+        assert base.characterization_key() != wider.characterization_key()
+        assert base.rg_key() != wider.rg_key()
+        # A correlation-only change (WID correlation length, D2D/WID
+        # split) reaches only the chip level: characterization and RG
+        # are shared, the estimate is not.
+        for technology in (TechnologyConfig(corr_length_mm=1.7),
+                           TechnologyConfig(d2d_fraction=0.2),
+                           TechnologyConfig(corr_length_mm=0.3,
+                                            d2d_fraction=0.9)):
+            correlated = make(technology=technology)
+            assert (base.characterization_key()
+                    == correlated.characterization_key())
+            assert base.rg_key() == correlated.rg_key()
+            assert base.key() != correlated.key()
 
     def test_round_trip_through_json(self):
         request = make(cells=("NAND2_X1", "INV_X1"), priority=3,
